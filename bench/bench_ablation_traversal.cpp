@@ -1,17 +1,18 @@
 // Ablation — three traversals of the same O(N d) hierarchization on the
 // compact structure:
 //  * literal Alg. 6: flat loop with a full idx2gp decode per point (the
-//    paper's pseudocode, verbatim);
+//    paper's pseudocode, verbatim; csg::testing::hierarchize_literal);
 //  * subspace-wise Alg. 6: level groups descending, index odometer, two
 //    gp2idx parent lookups per point (the paper's intended GPU-style
-//    implementation, used as hierarchize());
-//  * pole-based unidirectional transform: scalar Alg. 1 recursions on
-//    direct index arithmetic — no gp2idx at all (library extension).
+//    implementation; csg::testing::hierarchize_groups);
+//  * pole sweep: scalar Alg. 1 recursions on direct index arithmetic — no
+//    gp2idx at all (the production csg::hierarchize).
 // All three produce bit-identical coefficients (asserted in tests); the
 // bench shows what the bijection arithmetic costs and what the flat
 // layout enables.
 #include "bench_common.hpp"
 #include "csg/core/hierarchize.hpp"
+#include "csg/testing/reference_hierarchize.hpp"
 #include "csg/workloads/functions.hpp"
 
 namespace {
@@ -57,9 +58,9 @@ int main(int argc, char** argv) {
       } while (accum < 0.05);
       return accum / calls;
     };
-    const double t_lit = run(&hierarchize_literal);
-    const double t_sub = run(&hierarchize);
-    const double t_pole = run(&hierarchize_poles);
+    const double t_lit = run(&csg::testing::hierarchize_literal);
+    const double t_sub = run(&csg::testing::hierarchize_groups);
+    const double t_pole = run(&hierarchize);
     std::printf("%-4u %12llu %14.3f %14.3f %14.3f %9.1fx\n", d,
                 static_cast<unsigned long long>(
                     regular_grid_num_points(d, level)),

@@ -5,7 +5,8 @@
 // for the std::map); the harness defaults to level 6 so the whole sweep
 // finishes in well under a minute while preserving the ordering and growth
 // the figure shows. Baselines run the paper's original recursive algorithms
-// (Sec. 3); the compact structure runs the iterative Alg. 6/7 it enables.
+// (Sec. 3); the compact structure runs its production hierarchization (the
+// pole sweep, bit-identical to Alg. 6) and the batched Alg. 7.
 #include "bench_common.hpp"
 #include "csg/baselines/generic_algorithms.hpp"
 #include "csg/baselines/map_storages.hpp"
@@ -158,7 +159,10 @@ int main(int argc, char** argv) {
 
   std::printf("\nshape checks vs the paper:\n");
   const auto& last = results.back();
+  // The compact column runs the pole sweep, which also beats the prefix
+  // tree's child-pointer descent (last[1]), so the check covers all four.
   const bool compact_fastest_hier =
+      last[0].hierarchize_s <= last[1].hierarchize_s &&
       last[0].hierarchize_s <= last[2].hierarchize_s &&
       last[0].hierarchize_s <= last[3].hierarchize_s &&
       last[0].hierarchize_s <= last[4].hierarchize_s;

@@ -6,7 +6,7 @@
 // ~35 s end to end on a laptop-class core). Verifies at scale:
 //  * the exact point count range of Sec. 6,
 //  * gp2idx bijectivity under random fuzz,
-//  * hierarchization (pole transform) + evaluation wall-clock,
+//  * hierarchization (the production pole sweep) + evaluation wall-clock,
 //  * interpolation error on a smooth field.
 #include <cmath>
 #include <random>
@@ -80,13 +80,15 @@ int main(int argc, char** argv) {
 
   const auto f = workloads::parabola_product(d);
   const double sample_s = csg::bench::time_s([&] { s.sample(f.f); });
-  const double hier_s = csg::bench::time_s([&] { hierarchize_poles(s); });
+  const double hier_s = csg::bench::time_s([&] { hierarchize(s); });
   std::printf("sample            %8.2f s  (%5.1f Mpts/s)\n", sample_s,
               static_cast<double>(s.size()) / sample_s / 1e6);
-  std::printf("hierarchize_poles %8.2f s  (%5.1f Mpts/s over %u dims)\n",
+  std::printf("hierarchize       %8.2f s  (%5.1f Mpts/s over %u dims)\n",
               hier_s, static_cast<double>(s.size()) / hier_s / 1e6, d);
   report.add_time("sample_s", csg::bench::summarize({sample_s})).tolerance =
       1.0;
+  // Metric name kept from when the pole sweep was a separate entry point,
+  // so the recorded history stays continuous.
   report.add_time("hierarchize_poles_s", csg::bench::summarize({hier_s}))
       .tolerance = 1.0;
 

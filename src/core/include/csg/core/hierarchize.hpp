@@ -1,57 +1,78 @@
-// Iterative hierarchization / dehierarchization on CompactStorage
-// (paper Alg. 6 and its inverse).
+// In-place hierarchization / dehierarchization on CompactStorage (paper
+// Alg. 6 and its inverse), computed as a pole sweep.
 //
 // Hierarchization converts nodal values (samples of f at grid points) into
-// hierarchical coefficients, one dimension at a time. Within a dimension the
-// level groups are processed in descending |l|_1 order so that a point's
-// update reads its dimension-t parents while they still hold their previous
-// (pre-update-in-t) values — exactly the dependency order the paper enforces
-// with per-group barriers on the GPU.
+// hierarchical coefficients, one dimension at a time. Within dimension t the
+// grid decomposes into 1d "poles": all points sharing every coordinate except
+// dimension t. A pole family is rooted at a subspace l with l[t] = 0; within
+// the family l' = l except l'[t] = lev, the flat position factors as
+//   offs[lev] + A * 2^lev * S + c * S + B
+// with A/B the row-major prefix/suffix of the other dimensions and
+// S = prod_{s>t} 2^{l_s}, so the scalar Alg. 1 recursion runs on direct
+// index arithmetic — no gp2idx, no idx2gp, no parent lookups. Poles are
+// disjoint, so the only ordering constraint is between dimensions.
+//
+// The results are bit-identical to the paper's per-level-group traversal
+// (descending |l|_1 groups reading pre-update parents forward, ascending
+// groups reading restored parents inverse): every point performs the same
+// `cur -/+ (left + right) / 2` on the same operand values. That traversal
+// survives as an oracle in csg::testing (reference_hierarchize.hpp) and as
+// the simulated-GPU kernels in csg::gpusim.
 #pragma once
+
+#include <cstdint>
+#include <span>
 
 #include "csg/core/compact_storage.hpp"
 
 namespace csg {
 
-/// Flat position of the dimension-t left/right hierarchical parent of the
-/// point (l, i), or ~0 if the parent is the domain boundary (contribution 0
-/// for the zero-boundary grids of the paper).
-inline constexpr flat_index_t kBoundaryParent = ~flat_index_t{0};
-
-flat_index_t parent_flat_index(const RegularSparseGrid& grid, LevelVector l,
-                               IndexVector i, dim_t t, bool right);
-
-/// In-place hierarchization (Alg. 6), subspace-wise traversal: per dimension,
-/// level groups descending, subspaces enumerated with next_level, points via
-/// an index odometer. O(N * d^2) like the paper's version, but without the
-/// per-point idx2gp decode.
+/// In-place hierarchization: nodal values to hierarchical coefficients,
+/// dimensions ascending. O(N d), no scratch proportional to N.
 void hierarchize(CompactStorage& storage);
 
-/// Literal transcription of Alg. 6: per dimension, one flat loop
-/// j = N-1 ... 0 with a full idx2gp decode per point. Kept as an executable
-/// reference for tests and the ablation benchmarks.
-void hierarchize_literal(CompactStorage& storage);
-
-/// Pole-based in-place hierarchization: the unidirectional principle.
-/// For each dimension, the grid decomposes into 1d "poles" (all points
-/// sharing every coordinate except dimension t). Within a subspace family
-/// l' = l except l'[t] = lev, the flat position factors as
-///   offs[lev] + A * 2^lev * S + c * S + B
-/// with A/B the row-major prefix/suffix of the other dimensions and
-/// S = prod_{s>t} 2^{l_s}, so the classic scalar Alg. 1 recursion runs on
-/// direct index arithmetic — no gp2idx, no idx2gp, no parent lookups at
-/// all. Same O(N d) operation count as hierarchize() but with the lowest
-/// constant; results are bit-identical. Exposed both as the fastest CPU
-/// path and as an ablation subject (bench_ablation_traversal).
-void hierarchize_poles(CompactStorage& storage);
-
-/// Pole-based inverse transform (mirror of hierarchize_poles).
-void dehierarchize_poles(CompactStorage& storage);
-
 /// In-place inverse transform: hierarchical coefficients back to nodal
-/// values (the decompression counterpart used by round-trip tests and the
-/// Fig. 1 pipeline). Processes dimensions in reverse and level groups in
-/// ascending order.
+/// values, dimensions descending (the exact mirror of hierarchize()).
 void dehierarchize(CompactStorage& storage);
+
+namespace detail {
+
+/// The k-th dimension a sweep visits: ascending forward, descending inverse.
+inline dim_t sweep_dimension(dim_t d, dim_t k, bool inverse) {
+  return inverse ? d - 1 - k : k;
+}
+
+/// Number of pole families per dimension: the subspaces with l[t] = 0,
+/// i.e. the subspaces of the (d-1)-dimensional grid of the same level.
+std::uint64_t pole_root_count(const RegularSparseGrid& grid);
+
+/// The dimension-t pole roots by rank r < pole_root_count(grid): root r is
+/// the r-th level vector of the (d-1)-dimensional grid of the same level,
+/// with l[t] = 0 inserted. Ranked access lets threads split the roots
+/// without storing them; the rank after the previous one costs one Alg. 4
+/// `next`, any other rank an O(d + n) unranking.
+class PoleRoots {
+ public:
+  PoleRoots(const RegularSparseGrid& grid, dim_t t);
+  const LevelVector& operator[](std::uint64_t r);
+
+ private:
+  const RegularSparseGrid* grid_;
+  dim_t t_;
+  std::uint64_t rank_;  // rank of root_; pole_root_count(grid) = none yet
+  level_t group_ = 0;   // |root_|_1
+  LevelVector rest_;    // root_ without its t component
+  LevelVector root_;
+};
+
+/// Transform every dimension-t pole of the family rooted at `root`
+/// (forward or inverse). `offs` is scratch of grid.level() entries. Families
+/// are disjoint, so callers may run different roots concurrently; the
+/// OpenMP form (csg::parallel::omp_hierarchize) does exactly that.
+void transform_pole_family(CompactStorage& storage, dim_t t,
+                           const LevelVector& root, bool inverse,
+                           std::span<flat_index_t> offs);
+
+}  // namespace detail
 
 }  // namespace csg

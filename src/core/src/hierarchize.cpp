@@ -1,71 +1,13 @@
 #include "csg/core/hierarchize.hpp"
 
-#include "csg/core/grid_point.hpp"
 #include "csg/core/level_enumeration.hpp"
 
 namespace csg {
 
-flat_index_t parent_flat_index(const RegularSparseGrid& grid, LevelVector l,
-                               IndexVector i, dim_t t, bool right) {
-  const Parent1d p =
-      right ? right_parent_1d(l[t], i[t]) : left_parent_1d(l[t], i[t]);
-  if (p.is_boundary) return kBoundaryParent;
-  l[t] = p.level;
-  i[t] = p.index;
-  return grid.gp2idx(l, i);
-}
-
 namespace {
 
-/// Advance the index odometer of subspace l to the next row-major point;
-/// returns false after the last point.
-bool advance_index(const LevelVector& l, IndexVector& i) {
-  for (dim_t t = l.size(); t-- > 0;) {
-    i[t] += 2;
-    if (i[t] < (index1d_t{1} << (l[t] + 1))) return true;
-    i[t] = 1;
-  }
-  return false;
-}
-
-real_t parent_value(const CompactStorage& storage, const LevelVector& l,
-                    const IndexVector& i, dim_t t, bool right) {
-  const flat_index_t p =
-      parent_flat_index(storage.grid(), l, i, t, right);
-  return p == kBoundaryParent ? real_t{0} : storage[p];
-}
-
-}  // namespace
-
-void hierarchize(CompactStorage& storage) {
-  const RegularSparseGrid& grid = storage.grid();
-  const dim_t d = grid.dim();
-  const level_t n = grid.level();
-  for (dim_t t = 0; t < d; ++t) {
-    // Points with l[t] == 0 have both parents on the boundary: no-op.
-    for (level_t j = n; j-- > 1;) {
-      flat_index_t pos = grid.group_offset(j);
-      for (const LevelVector& l : LevelRange(d, j)) {
-        if (l[t] == 0) {
-          pos += grid.points_per_subspace(j);
-          continue;
-        }
-        IndexVector i(d, 1);
-        do {
-          const real_t v1 = parent_value(storage, l, i, t, /*right=*/false);
-          const real_t v2 = parent_value(storage, l, i, t, /*right=*/true);
-          storage[pos] -= (v1 + v2) / 2;
-          ++pos;
-        } while (advance_index(l, i));
-      }
-      CSG_ASSERT(pos == grid.group_offset(j + 1));
-    }
-  }
-}
-
-namespace {
-
-/// Scalar Alg. 1 recursion over one pole of dimension t in the flat array.
+/// Scalar Alg. 1 recursion over one pole of dimension t in the flat array,
+/// entered at level 1 below the pole's read-only level-0 point.
 /// Point (lev, c) — c = (i-1)/2 — sits at offs[lev] + ((A << lev) + c) * S
 /// + B. Forward: children consume the pre-update ancestor values riding
 /// down the recursion; inverse: the point is restored before its children
@@ -103,89 +45,92 @@ struct PoleTransform {
   }
 };
 
-void transform_poles(CompactStorage& storage, bool inverse_op) {
+void sweep(CompactStorage& storage, bool inverse) {
   const RegularSparseGrid& grid = storage.grid();
-  const dim_t d = grid.dim();
-  const level_t n = grid.level();
-  std::vector<flat_index_t> offs(n);
-  for (dim_t t = 0; t < d; ++t) {
-    // Pole roots: subspaces with l[t] = 0 in every level group.
-    for (level_t j = 0; j < n; ++j) {
-      for (const LevelVector& l : LevelRange(d, j)) {
-        if (l[t] != 0) continue;
-        const auto budget = static_cast<level_t>(n - 1 - j);
-        LevelVector lt = l;
-        for (level_t lev = 0; lev <= budget; ++lev) {
-          lt[t] = lev;
-          offs[lev] = grid.subspace_offset(lt);
-        }
-        flat_index_t prefix_count = 1, stride = 1;
-        for (dim_t s = 0; s < t; ++s) prefix_count <<= l[s];
-        for (dim_t s = t + 1; s < d; ++s) stride <<= l[s];
-        PoleTransform pole{storage.data(), offs.data(), 0, stride, 0, budget};
-        for (flat_index_t a = 0; a < prefix_count; ++a) {
-          pole.prefix = a;
-          for (flat_index_t b = 0; b < stride; ++b) {
-            pole.suffix = b;
-            if (inverse_op)
-              pole.inverse(0, 0, 0, 0);
-            else
-              pole.forward(0, 0, 0, 0);
-          }
-        }
-      }
-    }
+  const std::uint64_t roots = detail::pole_root_count(grid);
+  std::vector<flat_index_t> offs(grid.level());
+  for (dim_t k = 0; k < grid.dim(); ++k) {
+    const dim_t t = detail::sweep_dimension(grid.dim(), k, inverse);
+    detail::PoleRoots root(grid, t);
+    for (std::uint64_t r = 0; r < roots; ++r)
+      detail::transform_pole_family(storage, t, root[r], inverse, offs);
   }
 }
 
 }  // namespace
 
-void hierarchize_poles(CompactStorage& storage) {
-  transform_poles(storage, /*inverse_op=*/false);
-}
+namespace detail {
 
-void dehierarchize_poles(CompactStorage& storage) {
-  transform_poles(storage, /*inverse_op=*/true);
-}
-
-void hierarchize_literal(CompactStorage& storage) {
-  const RegularSparseGrid& grid = storage.grid();
+std::uint64_t pole_root_count(const RegularSparseGrid& grid) {
   const dim_t d = grid.dim();
-  for (dim_t t = 0; t < d; ++t) {
-    for (flat_index_t j = grid.num_points(); j-- > 0;) {
-      const GridPoint gp = grid.idx2gp(j);
-      const real_t v1 = parent_value(storage, gp.level, gp.index, t, false);
-      const real_t v2 = parent_value(storage, gp.level, gp.index, t, true);
-      storage[j] -= (v1 + v2) / 2;
+  // sum_{j<n} C(d-2+j, d-2) = C(d-2+n, d-1)
+  return d == 1 ? 1 : grid.binmat()(d - 2 + grid.level(), d - 1);
+}
+
+PoleRoots::PoleRoots(const RegularSparseGrid& grid, dim_t t)
+    : grid_(&grid), t_(t), rank_(pole_root_count(grid)), root_(grid.dim(), 0) {
+  CSG_EXPECTS(t < grid.dim());
+}
+
+const LevelVector& PoleRoots::operator[](std::uint64_t r) {
+  CSG_EXPECTS(r < pole_root_count(*grid_));
+  const dim_t d = grid_->dim();
+  if (d == 1 || r == rank_) return root_;
+  if (r == rank_ + 1) {
+    if (!advance_level(rest_)) rest_ = first_level(d - 1, ++group_);
+  } else {
+    std::uint64_t k = r;
+    for (group_ = 0;; ++group_) {
+      const std::uint64_t size = num_subspaces(d - 1, group_, grid_->binmat());
+      if (k < size) break;
+      k -= size;
     }
+    rest_ = unrank_subspace(d - 1, group_, k, grid_->binmat());
   }
+  rank_ = r;
+  for (dim_t s = 0; s + 1 < d; ++s) root_[s < t_ ? s : s + 1] = rest_[s];
+  return root_;
 }
 
-void dehierarchize(CompactStorage& storage) {
+void transform_pole_family(CompactStorage& storage, dim_t t,
+                           const LevelVector& root, bool inverse,
+                           std::span<flat_index_t> offs) {
   const RegularSparseGrid& grid = storage.grid();
-  const dim_t d = grid.dim();
-  const level_t n = grid.level();
-  for (dim_t t = d; t-- > 0;) {
-    // Ascending level groups: a point's parents in dimension t are already
-    // restored to nodal-in-t values when the point itself is updated.
-    for (level_t j = 1; j < n; ++j) {
-      flat_index_t pos = grid.group_offset(j);
-      for (const LevelVector& l : LevelRange(d, j)) {
-        if (l[t] == 0) {
-          pos += grid.points_per_subspace(j);
-          continue;
-        }
-        IndexVector i(d, 1);
-        do {
-          const real_t v1 = parent_value(storage, l, i, t, false);
-          const real_t v2 = parent_value(storage, l, i, t, true);
-          storage[pos] += (v1 + v2) / 2;
-          ++pos;
-        } while (advance_index(l, i));
+  const auto budget = static_cast<level_t>(grid.level() - 1 - root.l1_norm());
+  CSG_ASSERT(root[t] == 0 && offs.size() > budget);
+  // A pole's level-0 point has both parents on the boundary, so its update
+  // would add or subtract zero: it is only read, and single-point poles
+  // are skipped outright (the group-order oracle never touches them either).
+  if (budget == 0) return;
+  LevelVector lt = root;
+  for (level_t lev = 0; lev <= budget; ++lev) {
+    lt[t] = lev;
+    offs[lev] = grid.subspace_offset(lt);
+  }
+  flat_index_t prefix_count = 1, stride = 1;
+  for (dim_t s = 0; s < t; ++s) prefix_count <<= root[s];
+  for (dim_t s = t + 1; s < grid.dim(); ++s) stride <<= root[s];
+  PoleTransform pole{storage.data(), offs.data(), 0, stride, 0, budget};
+  for (flat_index_t a = 0; a < prefix_count; ++a) {
+    pole.prefix = a;
+    for (flat_index_t b = 0; b < stride; ++b) {
+      pole.suffix = b;
+      const real_t top = storage.data()[pole.position(0, 0)];
+      if (inverse) {
+        pole.inverse(1, 0, 0, top);
+        pole.inverse(1, 1, top, 0);
+      } else {
+        pole.forward(1, 0, 0, top);
+        pole.forward(1, 1, top, 0);
       }
-      CSG_ASSERT(pos == grid.group_offset(j + 1));
     }
   }
 }
+
+}  // namespace detail
+
+void hierarchize(CompactStorage& storage) { sweep(storage, false); }
+
+void dehierarchize(CompactStorage& storage) { sweep(storage, true); }
 
 }  // namespace csg

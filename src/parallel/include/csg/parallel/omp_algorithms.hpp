@@ -1,12 +1,13 @@
 // OpenMP parallelization of the sparse grid operations (paper Sec. 6.2).
 //
-// The compact structure uses the same static decomposition as the GPU
-// implementation (Sec. 5.3): within one level group the subspaces are
-// distributed statically over threads, and groups are processed in
-// descending |l|_1 order with a barrier in between — here the implicit
-// barrier at the end of each `omp parallel for`, on the GPU one kernel
-// launch per group. Evaluation is embarrassingly parallel over the set of
-// evaluation points.
+// Hierarchization on the compact structure runs the pole sweep of
+// csg::hierarchize (hierarchize.hpp): within one dimension the pole
+// families are disjoint, so they are distributed statically over threads
+// and the only synchronization is one barrier per dimension — not one per
+// level group as in the paper's Sec. 5.3 decomposition, whose per-group
+// order lives on as the oracle in csg::testing and as the simulated-GPU
+// kernels in csg::gpusim. Evaluation is embarrassingly parallel over the
+// set of evaluation points.
 //
 // The baseline storages are parallelized the way the paper parallelized the
 // original recursive algorithms: OpenMP tasks over the 1d hierarchization
@@ -34,20 +35,14 @@
 
 namespace csg::parallel {
 
-/// Parallel iterative hierarchization on the compact structure. Barrier per
-/// level group; subspaces within a group are independent because a point's
-/// dimension-t parents always live in a strictly lower group.
+/// Parallel hierarchization on the compact structure: the pole sweep with
+/// each dimension's pole families split statically over threads.
+/// Bit-identical to csg::hierarchize for every thread count.
 void omp_hierarchize(CompactStorage& storage, int num_threads);
 
-/// Parallel inverse transform (ascending groups, same decomposition).
+/// Parallel inverse transform (dimensions descending, same decomposition).
+/// Bit-identical to csg::dehierarchize for every thread count.
 void omp_dehierarchize(CompactStorage& storage, int num_threads);
-
-/// Parallel pole-based hierarchization: within one dimension the 1d poles
-/// are fully independent (each carries its own Alg. 1 recursion), so the
-/// only barrier is between dimensions — even less synchronization than the
-/// per-level-group scheme, on top of the pole transform's gp2idx-free
-/// inner loop (see hierarchize_poles).
-void omp_hierarchize_poles(CompactStorage& storage, int num_threads);
 
 /// Parallel evaluation at many points on the compact structure.
 std::vector<real_t> omp_evaluate_many(const CompactStorage& storage,

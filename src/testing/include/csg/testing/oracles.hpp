@@ -1,7 +1,8 @@
 // Storage-agnostic differential oracles.
 //
 // Each oracle runs one operation through every implementation the library
-// has — iterative/literal/pole-based/OpenMP on the compact structure, the
+// has — the production pole sweep and its OpenMP form against the paper's
+// group-order and literal Alg. 6 (reference_hierarchize.hpp), the
 // recursive and key-value algorithms over the map/hash/prefix-tree
 // baselines, the serializer — and checks that they all describe the same
 // function. Comparison is ULP-aware (compare.hpp) with two budgets: the
@@ -38,8 +39,9 @@ struct OracleResult {
 };
 
 struct OracleOptions {
-  /// Budget for the compact-structure family (iterative, literal, poles,
-  /// OpenMP): these share arithmetic and order, so 0 = bit-identical.
+  /// Budget for the compact-structure family (pole sweep, group-order and
+  /// literal Alg. 6, OpenMP): these share arithmetic and operand values,
+  /// so 0 = bit-identical.
   std::uint64_t exact_ulps = 0;
   /// Budget for cross-family comparisons (recursive baselines).
   std::uint64_t cross_ulps = 1024;
@@ -53,10 +55,18 @@ struct OracleOptions {
   bool include_baselines = true;
 };
 
-/// Every hierarchization implementation agrees on `nodal` (values are
-/// interpreted as nodal samples; the input is not modified).
+/// Every hierarchization implementation agrees with the group-order
+/// oracle on `nodal` (values are interpreted as nodal samples; the input is
+/// not modified).
 OracleResult check_hierarchize_parity(const CompactStorage& nodal,
                                       const OracleOptions& opts = {});
+
+/// Sequential and OpenMP dehierarchize agree with the group-order inverse
+/// oracle on `coeffs` (interpreted as hierarchical coefficients) within
+/// exact_ulps — pins the inverse's dimension order, which a round trip
+/// within cross_ulps cannot see.
+OracleResult check_dehierarchize_parity(const CompactStorage& coeffs,
+                                        const OracleOptions& opts = {});
 
 /// hierarchize/dehierarchize pairings (including mixed traversals) return
 /// the original array.
@@ -101,10 +111,10 @@ OracleResult check_adaptive_parity(const CompactStorage& nodal,
                                    std::span<const CoordVector> points,
                                    const OracleOptions& opts = {});
 
-/// The full battery on one grid function: parity, round trip, evaluation
-/// differentials at a random point cloud, serialization. `nodal` is
-/// interpreted as nodal samples. This is the one-call oracle property
-/// tests use.
+/// The full battery on one grid function: forward and inverse parity,
+/// round trip, evaluation differentials at a random point cloud,
+/// serialization. `nodal` is interpreted as nodal samples. This is the
+/// one-call oracle property tests use.
 OracleResult check_all(const CompactStorage& nodal, std::mt19937_64& rng,
                        const OracleOptions& opts = {});
 

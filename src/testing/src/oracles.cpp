@@ -16,6 +16,7 @@
 #include "csg/parallel/omp_algorithms.hpp"
 #include "csg/testing/compare.hpp"
 #include "csg/testing/generators.hpp"
+#include "csg/testing/reference_hierarchize.hpp"
 
 namespace csg::testing {
 
@@ -93,51 +94,67 @@ OracleResult check_hierarchize_parity(const CompactStorage& nodal,
                                       const OracleOptions& opts) {
   OracleResult r;
   CompactStorage ref = nodal;
-  hierarchize(ref);
+  hierarchize_groups(ref);
 
   {
     CompactStorage s = nodal;
-    hierarchize_literal(s);
-    compare_arrays(r, ref, s, "hierarchize vs hierarchize_literal",
+    hierarchize(s);
+    compare_arrays(r, ref, s, "hierarchize_groups vs hierarchize",
                    opts.exact_ulps, 0);
   }
   {
     CompactStorage s = nodal;
-    hierarchize_poles(s);
-    compare_arrays(r, ref, s, "hierarchize vs hierarchize_poles",
+    hierarchize_literal(s);
+    compare_arrays(r, ref, s, "hierarchize_groups vs hierarchize_literal",
                    opts.exact_ulps, 0);
   }
   {
     CompactStorage s = nodal;
     parallel::omp_hierarchize(s, opts.threads);
-    compare_arrays(r, ref, s, "hierarchize vs omp_hierarchize",
-                   opts.exact_ulps, 0);
-  }
-  {
-    CompactStorage s = nodal;
-    parallel::omp_hierarchize_poles(s, opts.threads);
-    compare_arrays(r, ref, s, "hierarchize vs omp_hierarchize_poles",
+    compare_arrays(r, ref, s, "hierarchize_groups vs omp_hierarchize",
                    opts.exact_ulps, 0);
   }
   if (opts.include_baselines) {
     {
       auto s = to_baseline<baselines::EnhancedHashStorage>(nodal);
       baselines::hierarchize_iterative(s);
-      compare_storage(r, ref, s, "hierarchize vs kv-iterative(hash)",
+      compare_storage(r, ref, s, "hierarchize_groups vs kv-iterative(hash)",
                       opts.exact_ulps, 0);
     }
     {
       auto s = to_baseline<baselines::PrefixTreeStorage>(nodal);
       baselines::hierarchize_recursive(s);
-      compare_storage(r, ref, s, "hierarchize vs recursive(prefix-tree)",
+      compare_storage(r, ref, s,
+                      "hierarchize_groups vs recursive(prefix-tree)",
                       opts.cross_ulps, opts.abs_floor);
     }
     {
       auto s = to_baseline<baselines::StdMapStorage>(nodal);
       parallel::omp_hierarchize_recursive(s, opts.threads);
-      compare_storage(r, ref, s, "hierarchize vs omp-recursive(std-map)",
+      compare_storage(r, ref, s,
+                      "hierarchize_groups vs omp-recursive(std-map)",
                       opts.cross_ulps, opts.abs_floor);
     }
+  }
+  return r;
+}
+
+OracleResult check_dehierarchize_parity(const CompactStorage& coeffs,
+                                        const OracleOptions& opts) {
+  OracleResult r;
+  CompactStorage ref = coeffs;
+  dehierarchize_groups(ref);
+  {
+    CompactStorage s = coeffs;
+    dehierarchize(s);
+    compare_arrays(r, ref, s, "dehierarchize_groups vs dehierarchize",
+                   opts.exact_ulps, 0);
+  }
+  {
+    CompactStorage s = coeffs;
+    parallel::omp_dehierarchize(s, opts.threads);
+    compare_arrays(r, ref, s, "dehierarchize_groups vs omp_dehierarchize",
+                   opts.exact_ulps, 0);
   }
   return r;
 }
@@ -152,10 +169,10 @@ OracleResult check_round_trip(const CompactStorage& values,
   };
   const Pairing pairings[] = {
       {"hierarchize/dehierarchize", &hierarchize, &dehierarchize},
-      {"poles/poles", &hierarchize_poles, &dehierarchize_poles},
-      {"hierarchize/dehierarchize_poles", &hierarchize,
-       &dehierarchize_poles},
-      {"poles/dehierarchize", &hierarchize_poles, &dehierarchize},
+      {"groups/groups", &hierarchize_groups, &dehierarchize_groups},
+      {"hierarchize/dehierarchize_groups", &hierarchize,
+       &dehierarchize_groups},
+      {"groups/dehierarchize", &hierarchize_groups, &dehierarchize},
   };
   for (const Pairing& p : pairings) {
     CompactStorage s = values;
@@ -446,6 +463,7 @@ OracleResult check_all(const CompactStorage& nodal, std::mt19937_64& rng,
   r.merge(check_round_trip(nodal, opts));
   CompactStorage coeffs = nodal;
   hierarchize(coeffs);
+  r.merge(check_dehierarchize_parity(coeffs, opts));
   const auto pts = random_points(rng, nodal.dim(), 48);
   r.merge(check_evaluate_parity(coeffs, pts, opts));
   r.merge(check_eval_soa_parity(coeffs, pts, opts));

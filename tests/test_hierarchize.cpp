@@ -6,8 +6,9 @@
 
 #include "csg/core/evaluate.hpp"
 #include "csg/core/grid_point.hpp"
-#include "csg/workloads/functions.hpp"
 #include "csg/testing/param_names.hpp"
+#include "csg/testing/reference_hierarchize.hpp"
+#include "csg/workloads/functions.hpp"
 
 namespace csg {
 namespace {
@@ -65,33 +66,53 @@ TEST_P(HierarchizeSweep, LiteralAlgorithm6MatchesOptimizedTraversal) {
   a.sample(f.f);
   CompactStorage b = a;
   hierarchize(a);
-  hierarchize_literal(b);
+  csg::testing::hierarchize_literal(b);
   for (flat_index_t j = 0; j < a.size(); ++j)
     ASSERT_EQ(a[j], b[j]) << "flat index " << j;  // bit-identical
 }
 
 TEST_P(HierarchizeSweep, PoleTraversalIsBitIdenticalToAlg6) {
+  // Production (pole sweep) against the paper's per-level-group order.
   const auto [d, n] = GetParam();
   const TestFunction f = workloads::simulation_field(d);
   CompactStorage a(d, n);
   a.sample(f.f);
   CompactStorage b = a;
   hierarchize(a);
-  hierarchize_poles(b);
+  csg::testing::hierarchize_groups(b);
+  for (flat_index_t j = 0; j < a.size(); ++j)
+    ASSERT_EQ(a[j], b[j]) << "flat index " << j;
+}
+
+TEST_P(HierarchizeSweep, PoleInverseIsBitIdenticalToAlg6Inverse) {
+  const auto [d, n] = GetParam();
+  const TestFunction f = workloads::oscillatory(d);
+  CompactStorage a(d, n);
+  a.sample(f.f);
+  hierarchize(a);
+  CompactStorage b = a;
+  dehierarchize(a);
+  csg::testing::dehierarchize_groups(b);
   for (flat_index_t j = 0; j < a.size(); ++j)
     ASSERT_EQ(a[j], b[j]) << "flat index " << j;
 }
 
 TEST_P(HierarchizeSweep, PoleRoundTripRestoresNodalValues) {
+  // Mixed pairings: each pole transform inverts the other traversal.
   const auto [d, n] = GetParam();
   const TestFunction f = workloads::oscillatory(d);
-  CompactStorage s(d, n);
+  CompactStorage s(d, n), t(d, n);
   s.sample(f.f);
+  t.sample(f.f);
   const std::vector<real_t> nodal = s.values();
-  hierarchize_poles(s);
-  dehierarchize_poles(s);
-  for (flat_index_t j = 0; j < s.size(); ++j)
+  csg::testing::hierarchize_groups(s);
+  dehierarchize(s);
+  hierarchize(t);
+  csg::testing::dehierarchize_groups(t);
+  for (flat_index_t j = 0; j < s.size(); ++j) {
     EXPECT_NEAR(s[j], nodal[static_cast<std::size_t>(j)], 1e-12);
+    EXPECT_NEAR(t[j], nodal[static_cast<std::size_t>(j)], 1e-12);
+  }
 }
 
 TEST_P(HierarchizeSweep, DehierarchizeInvertsHierarchize) {
@@ -139,8 +160,9 @@ TEST_P(HierarchizeSweep, HierarchizationIsLinear) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, HierarchizeSweep,
-    ::testing::Values(Case{1, 6}, Case{2, 5}, Case{3, 4}, Case{4, 4},
-                      Case{5, 3}, Case{6, 3}),
+    // n = 1: every pole has budget 0 and is a single point.
+    ::testing::Values(Case{1, 1}, Case{3, 1}, Case{1, 6}, Case{2, 5},
+                      Case{3, 4}, Case{4, 4}, Case{5, 3}, Case{6, 3}),
     [](const ::testing::TestParamInfo<Case>& tpi) {
       return csg::testing::dn_name(tpi.param.d, tpi.param.n);
     });
@@ -152,11 +174,11 @@ TEST(Hierarchize, ParentFlatIndexMatchesManualLookup) {
     for (dim_t t = 0; t < 3; ++t) {
       for (bool right : {false, true}) {
         const flat_index_t p =
-            parent_flat_index(g, gp.level, gp.index, t, right);
+            csg::testing::parent_flat_index(g, gp.level, gp.index, t, right);
         const Parent1d ref = right ? right_parent_1d(gp.level[t], gp.index[t])
                                    : left_parent_1d(gp.level[t], gp.index[t]);
         if (ref.is_boundary) {
-          EXPECT_EQ(p, kBoundaryParent);
+          EXPECT_EQ(p, csg::testing::kBoundaryParent);
         } else {
           LevelVector l = gp.level;
           IndexVector i = gp.index;

@@ -8,9 +8,11 @@
 
 #include "csg/baselines/map_storages.hpp"
 #include "csg/baselines/prefix_tree_storage.hpp"
+#include "csg/testing/oracles.hpp"
+#include "csg/testing/param_names.hpp"
+#include "csg/testing/reference_hierarchize.hpp"
 #include "csg/workloads/functions.hpp"
 #include "csg/workloads/sampling.hpp"
-#include "csg/testing/param_names.hpp"
 
 namespace csg::parallel {
 namespace {
@@ -48,16 +50,57 @@ TEST_P(ThreadSweep, OmpHierarchizeMatchesSequential) {
 }
 
 TEST_P(ThreadSweep, OmpPoleHierarchizeIsBitIdenticalToSequential) {
+  // Against the sequential group-order Alg. 6 oracle, not only against the
+  // sequential pole sweep the OpenMP form shares its kernel with.
   const int threads = GetParam();
   const dim_t d = 4;
   const level_t n = 5;
   CompactStorage seq(d, n), par(d, n);
   seq.sample(workloads::simulation_field(d).f);
   par.sample(workloads::simulation_field(d).f);
-  hierarchize_poles(seq);
-  omp_hierarchize_poles(par, threads);
+  csg::testing::hierarchize_groups(seq);
+  omp_hierarchize(par, threads);
   for (flat_index_t j = 0; j < seq.size(); ++j)
     ASSERT_EQ(seq[j], par[j]) << "threads=" << threads << " idx=" << j;
+}
+
+TEST_P(ThreadSweep, OmpDehierarchizeMatchesSequential) {
+  const int threads = GetParam();
+  const dim_t d = 4;
+  const level_t n = 5;
+  CompactStorage seq(d, n);
+  seq.sample(workloads::simulation_field(d).f);
+  hierarchize(seq);
+  CompactStorage par = seq;
+  dehierarchize(seq);
+  omp_dehierarchize(par, threads);
+  for (flat_index_t j = 0; j < seq.size(); ++j)
+    ASSERT_EQ(seq[j], par[j]) << "threads=" << threads << " idx=" << j;
+}
+
+TEST_P(ThreadSweep, OmpTransformsWithMoreThreadsThanPoleRoots) {
+  // d=1 has one pole root per dimension, d=2 n=2 two, d=3 n=1 one: most
+  // threads of the team get no pole family at all.
+  const int threads = GetParam();
+  const struct {
+    dim_t d;
+    level_t n;
+  } shapes[] = {{1, 6}, {2, 2}, {3, 1}};
+  for (const auto [d, n] : shapes) {
+    CompactStorage seq(d, n);
+    seq.sample(workloads::oscillatory(d).f);
+    CompactStorage par = seq;
+    csg::testing::hierarchize_groups(seq);
+    omp_hierarchize(par, threads);
+    for (flat_index_t j = 0; j < seq.size(); ++j)
+      ASSERT_EQ(seq[j], par[j]) << "forward d=" << d << " n=" << n
+                                << " threads=" << threads << " idx=" << j;
+    csg::testing::dehierarchize_groups(seq);
+    omp_dehierarchize(par, threads);
+    for (flat_index_t j = 0; j < seq.size(); ++j)
+      ASSERT_EQ(seq[j], par[j]) << "inverse d=" << d << " n=" << n
+                                << " threads=" << threads << " idx=" << j;
+  }
 }
 
 TEST_P(ThreadSweep, OmpDehierarchizeInvertsOmpHierarchize) {
@@ -126,19 +169,24 @@ TEST_P(ThreadSweep, OmpRecursiveEvaluationOverBaselines) {
 }
 
 TEST_P(ThreadSweep, OmpPoleAndGroupSchemesAgree) {
-  // The two parallel decompositions (per-level-group barriers vs.
-  // independent poles) must land on identical bits for any thread count —
-  // they are the same arithmetic, only scheduled differently.
+  // The OpenMP pole sweep and the per-level-group oracle are the same
+  // arithmetic, only scheduled differently: the zero-ULP oracles must pass
+  // in both directions at every thread count.
   const int threads = GetParam();
   const dim_t d = 4;
   const level_t n = 5;
-  CompactStorage groups(d, n), poles(d, n);
-  groups.sample(workloads::oscillatory(d).f);
-  poles.sample(workloads::oscillatory(d).f);
-  omp_hierarchize(groups, threads);
-  omp_hierarchize_poles(poles, threads);
-  for (flat_index_t j = 0; j < groups.size(); ++j)
-    ASSERT_EQ(groups[j], poles[j]) << "threads=" << threads << " idx=" << j;
+  CompactStorage s(d, n);
+  s.sample(workloads::oscillatory(d).f);
+  csg::testing::OracleOptions opts;
+  opts.threads = threads;
+  opts.include_baselines = false;
+  const csg::testing::OracleResult forward =
+      csg::testing::check_hierarchize_parity(s, opts);
+  EXPECT_TRUE(forward.ok) << forward.detail;
+  hierarchize(s);
+  const csg::testing::OracleResult inverse =
+      csg::testing::check_dehierarchize_parity(s, opts);
+  EXPECT_TRUE(inverse.ok) << inverse.detail;
 }
 
 TEST_P(ThreadSweep, OmpBlockedEvaluateEdgeBlockSizes) {

@@ -38,6 +38,7 @@
 #include "csg/serve/service.hpp"
 #include "csg/testing/bijection.hpp"
 #include "csg/testing/generators.hpp"
+#include "csg/testing/oracles.hpp"
 #include "csg/workloads/functions.hpp"
 #include "csg/workloads/sampling.hpp"
 
@@ -354,7 +355,10 @@ long long grid_points_if_feasible(dim_t d, level_t n) {
 // exhaustive for every (d <= dmax, n <= nmax) within the time budget,
 // randomized spot checks for every higher dimension up to kMaxDim. The
 // paper's whole storage scheme rests on this map being exact, so the check
-// is a first-class subcommand rather than test-only code.
+// is a first-class subcommand rather than test-only code. Every shape of
+// the rectangle small enough then runs the differential oracle battery
+// (testing::check_all) on random coefficients, so the transforms built on
+// the map are checked against their reference implementations too.
 int cmd_selfcheck(int argc, char** argv) {
   const auto dmax =
       static_cast<dim_t>(std::atoi(flag_value(argc, argv, "--dmax", "6")));
@@ -445,6 +449,34 @@ int cmd_selfcheck(int argc, char** argv) {
                 d, n, static_cast<unsigned long long>(report.points_checked),
                 grid_points_if_feasible(d, n));
   }
+
+  // Transform oracles on every shape of the rectangle up to this size;
+  // larger shapes add run time, not coverage of a different code path.
+  constexpr long long kOracleMaxPoints = 20'000;
+  unsigned oracle_shapes = 0;
+  std::uint64_t oracle_comparisons = 0;
+  for (dim_t d = 1; d <= dmax && !out_of_time; ++d) {
+    for (level_t n = 1; n <= nmax; ++n) {
+      if (elapsed() > budget) {
+        out_of_time = true;
+        break;
+      }
+      const long long npts = grid_points_if_feasible(d, n);
+      if (npts < 0 || npts > kOracleMaxPoints) break;
+      const CompactStorage values = testing::random_coefficients(rng, d, n);
+      const testing::OracleResult r = testing::check_all(values, rng);
+      if (!r.ok) {
+        std::fprintf(stderr, "selfcheck FAILED at d=%u n=%u: %s\n", d, n,
+                     r.detail.c_str());
+        return 1;
+      }
+      oracle_comparisons += r.comparisons;
+      ++oracle_shapes;
+    }
+  }
+  std::printf("  transform oracles: %u shapes, %llu comparisons\n",
+              oracle_shapes,
+              static_cast<unsigned long long>(oracle_comparisons));
 
   std::printf(
       "selfcheck %s: %llu points verified exhaustively (%u shapes), "
