@@ -17,6 +17,7 @@
 #include "csg/core/hierarchize.hpp"
 #include "csg/memsim/traced_storages.hpp"
 #include "csg/parallel/omp_algorithms.hpp"
+#include "csg/testing/reference_evaluate.hpp"
 #include "csg/workloads/functions.hpp"
 #include "csg/workloads/sampling.hpp"
 
@@ -60,17 +61,18 @@ int main(int argc, char** argv) {
   const auto pts = workloads::uniform_points(d, points, 21);
   const std::span<const real_t> coeffs(storage.data(),
                                        storage.values().size());
-  // Pre-plan walk (first_level/advance_level per subspace per point) as the
-  // historical baseline, then the plan-based unblocked and blocked paths.
+  // Pre-plan walk (first_level/advance_level per subspace per point, the
+  // testing::evaluate_walk oracle) as the historical baseline, then the
+  // production kernel unblocked (one-point blocks) and blocked.
   const double walk_s = csg::bench::time_per_call_s([&] {
     for (const CoordVector& x : pts)
-      (void)evaluate_span_walk(storage.grid(), coeffs, x);
+      (void)testing::evaluate_walk(storage.grid(), coeffs, x);
   });
   std::printf("%-18s %10.4f s   (%.2fx)\n", "iterator walk", walk_s, 1.0);
   report.add_time("eval_s/iterator_walk", csg::bench::summarize({walk_s}))
       .tolerance = 1.0;
   const double plain_s = csg::bench::time_per_call_s(
-      [&] { (void)evaluate_many(storage, pts); });
+      [&] { (void)evaluate_many_blocked(storage, pts, 1); });
   std::printf("%-18s %10.4f s   (%.2fx)\n", "plan unblocked", plain_s,
               walk_s / plain_s);
   report.add_time("eval_s/plan_unblocked", csg::bench::summarize({plain_s}))

@@ -3,19 +3,22 @@
 //
 // Stages, all producing bit-identical results (verified here):
 //   walk       per-point Alg. 7 with first_level/advance_level in the inner
-//              loop (the pre-plan scalar path, kept as evaluate_span_walk)
-//   plan       per-point linear scan over the flattened plan arrays
+//              loop (the pre-plan scalar path, the testing::evaluate_walk
+//              oracle)
+//   plan       per-point evaluation over the flattened plan: the production
+//              kernel on one-point blocks (evaluate_many_blocked, block 1)
 //   blocked    Sec. 4.3 point blocking on top of the plan
 //   omp        omp_evaluate_many_blocked: threads over point blocks,
 //              plan shared read-only, disjoint out ranges (barrier-free)
 // The default shape (d=5, n=9, 10k points) matches the acceptance target:
-// omp blocked must beat sequential evaluate_many.
+// omp blocked must beat sequential per-point evaluation.
 #include <thread>
 
 #include "bench_common.hpp"
 #include "csg/core/evaluate.hpp"
 #include "csg/core/hierarchize.hpp"
 #include "csg/parallel/omp_algorithms.hpp"
+#include "csg/testing/reference_evaluate.hpp"
 #include "csg/workloads/functions.hpp"
 #include "csg/workloads/sampling.hpp"
 
@@ -71,12 +74,12 @@ int main(int argc, char** argv) {
   std::vector<real_t> reference(pts.size());
   const double walk_s = csg::bench::time_per_call_s([&] {
     for (std::size_t p = 0; p < pts.size(); ++p)
-      reference[p] = evaluate_span_walk(storage.grid(), coeffs, pts[p]);
+      reference[p] = testing::evaluate_walk(storage.grid(), coeffs, pts[p]);
   });
 
   std::vector<real_t> seq_many;
   const double seq_many_s = csg::bench::time_per_call_s(
-      [&] { seq_many = evaluate_many(storage, pts); });
+      [&] { seq_many = evaluate_many_blocked(storage, pts, 1); });
 
   std::vector<real_t> blocked;
   const double blocked_s = csg::bench::time_per_call_s(
@@ -107,12 +110,12 @@ int main(int argc, char** argv) {
   const bool exact_blocked = bit_identical(blocked, reference);
   const bool exact_omp = bit_identical(omp_blocked, reference);
   auto row = [&](const char* name, double s, bool exact) {
-    std::printf("%-26s %10.4f s  %8.2fx vs walk  %8.2fx vs seq many   "
+    std::printf("%-26s %10.4f s  %8.2fx vs walk  %8.2fx vs per point  "
                 "exact: %s\n",
                 name, s, walk_s / s, seq_many_s / s, exact ? "yes" : "NO");
   };
   row("walk (pre-plan scalar)", walk_s, true);
-  row("plan evaluate_many", seq_many_s, exact_many);
+  row("plan per point", seq_many_s, exact_many);
   row("plan blocked", blocked_s, exact_blocked);
   row("omp plan blocked", omp_s, exact_omp);
   report.add_time("eval_s/walk", csg::bench::summarize({walk_s})).tolerance =
@@ -133,7 +136,8 @@ int main(int argc, char** argv) {
 
   const bool faster = omp_s < seq_many_s;
   std::printf("\nacceptance: omp_evaluate_many_blocked faster than "
-              "sequential evaluate_many: %s (%.4f s vs %.4f s, %.2fx)\n",
+              "sequential per-point evaluation: %s (%.4f s vs %.4f s, "
+              "%.2fx)\n",
               faster ? "yes" : "NO", omp_s, seq_many_s, seq_many_s / omp_s);
   report.add_counter("shape/omp_blocked_beats_sequential", faster ? 1 : 0,
                      "bool", Better::kNeutral);
@@ -143,21 +147,20 @@ int main(int argc, char** argv) {
     const double s = csg::bench::time_s([&] {
       (void)parallel::omp_evaluate_many_blocked(storage, pts, block, t);
     });
-    std::printf("  %2d thread(s)  %10.4f s  (%.2fx vs 1-thread seq many)\n",
+    std::printf("  %2d thread(s)  %10.4f s  (%.2fx vs 1-thread per point)\n",
                 t, s, seq_many_s / s);
   }
 
-  // --- soa_vs_scalar: the SoA batch kernel against the forced scalar
-  // fallback (DESIGN.md §14), same plan, same blocking. The speedup is
-  // recorded neutral (it is host-vector-width-dependent); the work counters
-  // are deterministic functions of (points, block, plan) and gate exactly.
+  // --- soa_vs_scalar: the SoA batch kernel against the scalar blocked
+  // oracle (testing::evaluate_blocked_scalar, DESIGN.md §14), same plan,
+  // same blocking. The speedup is recorded neutral (it is
+  // host-vector-width-dependent); the work counters are deterministic
+  // functions of (points, block, plan) and gate exactly.
   {
-    const EvalKernel saved = eval_kernel();
-    set_eval_kernel(EvalKernel::kScalar);
     std::vector<real_t> scalar_out;
-    const double scalar_s = csg::bench::time_per_call_s(
-        [&] { scalar_out = evaluate_many_blocked(storage, pts, block); });
-    set_eval_kernel(EvalKernel::kSoa);
+    const double scalar_s = csg::bench::time_per_call_s([&] {
+      scalar_out = testing::evaluate_blocked_scalar(storage, pts, block);
+    });
     // Warm the thread-local arena, then pin zero steady-state allocation
     // and take one deterministic counter snapshot.
     std::vector<real_t> soa_out = evaluate_many_blocked(storage, pts, block);
@@ -169,13 +172,12 @@ int main(int argc, char** argv) {
         PointBlock::allocation_count() - arena0;
     const double soa_s = csg::bench::time_per_call_s(
         [&] { soa_out = evaluate_many_blocked(storage, pts, block); });
-    set_eval_kernel(saved);
 
     const bool exact_soa = bit_identical(soa_out, reference) &&
                            bit_identical(scalar_out, reference);
     std::printf("\nsoa_vs_scalar (block %zu, lane width %zu):\n", block,
                 kPointBlockLane);
-    std::printf("  scalar fallback   %10.4f s\n", scalar_s);
+    std::printf("  scalar oracle     %10.4f s\n", scalar_s);
     std::printf("  soa kernel        %10.4f s  %8.2fx vs scalar   exact: %s\n",
                 soa_s, scalar_s / soa_s, exact_soa ? "yes" : "NO");
     std::printf("  one pass: %llu blocks, %llu lanes, %llu subspace visits, "

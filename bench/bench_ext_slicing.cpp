@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
 
     std::vector<real_t> direct_vals, blocked_vals, restricted_vals;
     const double t_direct = csg::bench::time_per_call_s(
-        [&] { direct_vals = evaluate_many(s, embedded); });
+        [&] { direct_vals = evaluate_many_blocked(s, embedded, 1); });
     const double t_blocked = csg::bench::time_per_call_s(
         [&] { blocked_vals = evaluate_many_blocked(s, embedded, 64); });
     const double t_restrict = csg::bench::time_per_call_s([&] {

@@ -58,7 +58,7 @@ int main() {
     GpuRunReport e;
     const auto gpu_vals = gpu_evaluate(launcher, dev, pts, &e);
     report("evaluation (decompression, 2048 points)", e, spec.warp_size);
-    const auto cpu_vals = evaluate_many(dev, pts);
+    const auto cpu_vals = evaluate_many_blocked(dev, pts);
     std::printf("  matches CPU result     %10s\n\n",
                 gpu_vals == cpu_vals ? "bit-exact" : "MISMATCH");
   }

@@ -1,14 +1,24 @@
 // Iterative evaluation (interpolation) of a sparse grid function at
-// arbitrary points of [0,1]^d — paper Alg. 7.
+// arbitrary points of [0,1]^d — paper Alg. 7 with the point blocking of
+// Sec. 4.3.
 //
 // The sum over all basis functions collapses to one term per subspace: in a
 // regular subspace exactly one hat has the query point in its support, and
 // the coefficient offset advances by 2^j per subspace. The subspaces are
 // visited through an EvaluationPlan — a one-time flattening of the level
-// enumeration into contiguous arrays — so the per-point inner loop is a
-// linear scan with no level-vector rederivation. A reference walker that
-// still derives levels with first_level/advance_level is kept for parity
-// tests and as the benchmark baseline.
+// enumeration into contiguous arrays. Every entry point (one point, a
+// sequential batch, the OpenMP batch in omp_algorithms.hpp, the serving
+// workers) runs the one SoA block kernel below through
+// evaluate_blocked_into; a single point is a one-lane block. The scalar
+// walk and blocked loop the kernel is pinned against are oracles in
+// csg::testing (reference_evaluate.hpp).
+//
+// Coordinates must lie in [0,1]. The bit-identity guarantee covers finite
+// coefficients only: where a point lies on a grid line of a subspace, the
+// kernel still multiplies that subspace's selected coefficient by the
+// exact 0 hat product, so a +-inf or NaN coefficient there yields NaN
+// (0 * inf) where the scalar walk skips the term. Rejecting non-finite
+// data is the caller's job.
 #pragma once
 
 #include <cstdint>
@@ -28,24 +38,13 @@ namespace csg {
 real_t evaluate_span(const RegularSparseGrid& grid,
                      std::span<const real_t> coeffs, const CoordVector& x);
 
-/// Plan-based core: one linear scan over the flattened subspaces.
+/// Plan-held form: one point evaluated as a one-lane block of the SoA
+/// kernel, in the calling thread's PointBlock arena.
 real_t evaluate_span(const EvaluationPlan& plan,
                      std::span<const real_t> coeffs, const CoordVector& x);
 
-/// Reference implementation of Alg. 7 that re-derives every level vector
-/// with first_level/advance_level. Bit-identical to the plan-based path;
-/// retained so tests can pin the plan down and benchmarks can report the
-/// plan's speedup against it.
-real_t evaluate_span_walk(const RegularSparseGrid& grid,
-                          std::span<const real_t> coeffs,
-                          const CoordVector& x);
-
 /// Evaluate the sparse grid function at one point x in [0,1]^d.
 real_t evaluate(const CompactStorage& storage, const CoordVector& x);
-
-/// Evaluate at many points; fetches the plan once and loops over points.
-std::vector<real_t> evaluate_many(const CompactStorage& storage,
-                                  std::span<const CoordVector> points);
 
 /// Cache-blocked evaluation (paper Sec. 4.3): the subspace loop is hoisted
 /// outside a block of evaluation points, so one subspace's coefficients are
@@ -64,9 +63,9 @@ std::vector<real_t> evaluate_many_blocked(const EvaluationPlan& plan,
 /// range (out.size() == points.size()). This is the shared core of the
 /// sequential and the OpenMP blocked paths: a parallel caller hands each
 /// thread a disjoint (points, out) slice and needs no reduction or barrier.
-/// Each block runs through the SoA kernel below (a thread-local PointBlock
-/// arena is transposed once per block and reused across calls), unless the
-/// scalar path is selected via set_eval_kernel/CSG_FORCE_SCALAR_EVAL.
+/// Each block runs through the SoA kernel below: the calling thread's
+/// thread-local PointBlock arena is transposed once per block and reused
+/// across calls, single-point ones included.
 void evaluate_blocked_into(const EvaluationPlan& plan,
                            std::span<const real_t> coeffs,
                            std::span<const CoordVector> points,
@@ -77,25 +76,11 @@ void evaluate_blocked_into(const EvaluationPlan& plan,
 /// against a full lane of points with `#pragma omp simd`; the boundary and
 /// support tests of Alg. 7 are arithmetic selects, so the loop body is
 /// branch-free and vectorizes. For finite coefficients the result is
-/// bit-identical to the scalar path per point; tests pin ULP-0 equality
-/// through the comparator (which also identifies +0 and -0).
+/// bit-identical per point to the scalar walk testing::evaluate_walk; the
+/// check_eval_soa_parity oracle pins ULP-0 equality through the comparator
+/// (which also identifies +0 and -0).
 void evaluate_block_soa(const EvaluationPlan& plan,
                         std::span<const real_t> coeffs, PointBlock& block);
-
-/// Which batch kernel evaluate_blocked_into runs. kAuto defers to the
-/// CSG_FORCE_SCALAR_EVAL environment variable (set and non-"0" forces the
-/// scalar path); kSoa/kScalar pin the choice programmatically — the
-/// differential tests and `csgtool evalbatch --soa|--scalar` use this.
-enum class EvalKernel : std::uint8_t { kAuto = 0, kSoa = 1, kScalar = 2 };
-
-/// Process-wide kernel selection override (relaxed atomic; flip only from
-/// a quiesced state — tests and CLI setup, not mid-batch).
-void set_eval_kernel(EvalKernel kernel);
-EvalKernel eval_kernel();
-
-/// The resolved decision: true iff evaluate_blocked_into will run the SoA
-/// kernel for the current selection + environment.
-bool eval_uses_soa();
 
 /// Deterministic SoA kernel tallies (relaxed atomics): blocks and
 /// kPointBlockLane-wide lanes fed through evaluate_block_soa, and subspaces

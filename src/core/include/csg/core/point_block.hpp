@@ -18,6 +18,8 @@
 // evaluation arena: assign() only touches the heap when capacity grows, and
 // a process-wide allocation counter makes "steady state performs zero
 // point-layout allocations" a testable claim (bench_serve gates on it).
+// evaluate_blocked_into keeps one arena per thread and every evaluation
+// entry point goes through it, single points included (one padded lane).
 #pragma once
 
 #include <cstdint>

@@ -3,48 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-
-#include "csg/core/grid_point.hpp"
-#include "csg/core/level_enumeration.hpp"
 
 namespace csg {
 
 namespace {
 
-/// Contribution of one subspace (level components l[0..d), coefficients
-/// starting at flat position `base`) to the interpolant at x: the one basis
-/// with x in its support, times its coefficient. The body of Alg. 7 lines
-/// 6-16. Shared verbatim by the walk and the plan paths so both produce
-/// bit-identical sums.
-real_t subspace_contribution(const real_t* coeffs, const level_t* l, dim_t d,
-                             flat_index_t base, const CoordVector& x) {
-  real_t prod = 1;
-  flat_index_t index1 = 0;
-  for (dim_t t = 0; t < d; ++t) {
-    const index1d_t i = support_index_1d(l[t], x[t]);
-    index1 = (index1 << l[t]) + ((i - 1) >> 1);
-    prod *= hat_basis_1d(l[t], i, x[t]);
-    if (prod == 0) return 0;  // x on a grid line of this subspace
-  }
-  return prod * coeffs[base + index1];
-}
-
-std::atomic<EvalKernel> g_eval_kernel{EvalKernel::kAuto};
 std::atomic<std::uint64_t> g_soa_blocks{0};
 std::atomic<std::uint64_t> g_soa_lanes{0};
 std::atomic<std::uint64_t> g_soa_subspaces{0};
-
-bool env_forces_scalar() {
-  // Read once: the env var selects the kernel for the process lifetime;
-  // runtime flips go through set_eval_kernel instead.
-  static const bool forced = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read-only, pre-thread startup
-    const char* v = std::getenv("CSG_FORCE_SCALAR_EVAL");
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-  }();
-  return forced;
-}
 
 /// 2^l as an exact double (l <= kMaxLevel + 1 < 63).
 real_t pow2_real(level_t l) {
@@ -58,23 +24,6 @@ real_t pow2_real(level_t l) {
 constexpr real_t kFloorShift = 4503599627370496.0;  // 2^52
 
 }  // namespace
-
-void set_eval_kernel(EvalKernel kernel) {
-  g_eval_kernel.store(kernel, std::memory_order_relaxed);
-}
-
-EvalKernel eval_kernel() {
-  return g_eval_kernel.load(std::memory_order_relaxed);
-}
-
-bool eval_uses_soa() {
-  switch (eval_kernel()) {
-    case EvalKernel::kSoa: return true;
-    case EvalKernel::kScalar: return false;
-    case EvalKernel::kAuto: break;
-  }
-  return !env_forces_scalar();
-}
 
 SoaKernelStats soa_kernel_stats() {
   return {g_soa_blocks.load(std::memory_order_relaxed),
@@ -160,41 +109,12 @@ void evaluate_block_soa(const EvaluationPlan& plan,
   g_soa_subspaces.fetch_add(count, std::memory_order_relaxed);
 }
 
-real_t evaluate_span_walk(const RegularSparseGrid& grid,
-                          std::span<const real_t> coeffs,
-                          const CoordVector& x) {
-  CSG_EXPECTS(x.size() == grid.dim());
-  CSG_EXPECTS(coeffs.size() >= grid.num_points());
-  const dim_t d = grid.dim();
-  const level_t n = grid.level();
-  real_t res = 0;
-  flat_index_t index2 = 0;
-  for (level_t j = 0; j < n; ++j) {
-    LevelVector l = first_level(d, j);
-    const std::uint64_t subspaces = grid.subspaces_in_group(j);
-    for (std::uint64_t k = 0; k < subspaces; ++k) {
-      res += subspace_contribution(coeffs.data(), l.data(), d, index2, x);
-      index2 += grid.points_per_subspace(j);
-      if (k + 1 < subspaces) advance_level(l);
-    }
-  }
-  CSG_ASSERT(index2 == grid.num_points());
-  return res;
-}
-
 real_t evaluate_span(const EvaluationPlan& plan,
                      std::span<const real_t> coeffs, const CoordVector& x) {
-  CSG_EXPECTS(x.size() == plan.dim());
-  CSG_EXPECTS(coeffs.size() >= plan.num_points());
-  const dim_t d = plan.dim();
-  const level_t* levels = plan.packed_levels();
-  const flat_index_t* offsets = plan.offsets();
-  const std::size_t count = plan.subspace_count();
-  real_t res = 0;
-  for (std::size_t s = 0; s < count; ++s)
-    res += subspace_contribution(coeffs.data(), levels + s * d, d, offsets[s],
-                                 x);
-  return res;
+  real_t out = 0;
+  evaluate_blocked_into(plan, coeffs, std::span<const CoordVector>(&x, 1), 1,
+                        std::span<real_t>(&out, 1));
+  return out;
 }
 
 real_t evaluate_span(const RegularSparseGrid& grid,
@@ -209,17 +129,6 @@ real_t evaluate(const CompactStorage& storage, const CoordVector& x) {
                        x);
 }
 
-std::vector<real_t> evaluate_many(const CompactStorage& storage,
-                                  std::span<const CoordVector> points) {
-  const auto plan = EvaluationPlan::shared(storage.grid());
-  const std::span<const real_t> coeffs(storage.data(),
-                                       storage.values().size());
-  std::vector<real_t> out(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p)
-    out[p] = evaluate_span(*plan, coeffs, points[p]);
-  return out;
-}
-
 void evaluate_blocked_into(const EvaluationPlan& plan,
                            std::span<const real_t> coeffs,
                            std::span<const CoordVector> points,
@@ -227,36 +136,18 @@ void evaluate_blocked_into(const EvaluationPlan& plan,
   CSG_EXPECTS(block_size >= 1);
   CSG_EXPECTS(out.size() == points.size());
   CSG_EXPECTS(coeffs.size() >= plan.num_points());
-  const dim_t d = plan.dim();
-  if (eval_uses_soa()) {
-    // Thread-local arena: OpenMP pool threads and serve workers alike keep
-    // one PointBlock alive across calls, so a steady-state batch stream
-    // transposes in place and performs zero point-layout allocations
-    // (PointBlock::allocation_count() stays flat — bench_serve gates this).
-    thread_local PointBlock block;
-    for (std::size_t b0 = 0; b0 < points.size(); b0 += block_size) {
-      const std::size_t b1 = std::min(b0 + block_size, points.size());
-      block.assign(d, points.subspan(b0, b1 - b0));
-      evaluate_block_soa(plan, coeffs, block);
-      const real_t* acc = block.accum();
-      for (std::size_t p = b0; p < b1; ++p) out[p] += acc[p - b0];
-    }
-    return;
-  }
-  // Scalar fallback: the pre-SoA blocked loop, kept verbatim (and selectable
-  // via CSG_FORCE_SCALAR_EVAL / set_eval_kernel) so differential tests can
-  // pin the SoA kernel against a bit-identical-to-seed reference.
-  const level_t* levels = plan.packed_levels();
-  const flat_index_t* offsets = plan.offsets();
-  const std::size_t count = plan.subspace_count();
+  // Thread-local arena: every thread (OpenMP pool threads, serve workers)
+  // keeps one PointBlock alive across its single-point and batch calls, so
+  // a steady-state stream transposes in place and performs zero
+  // point-layout allocations (PointBlock::allocation_count() stays flat —
+  // bench_serve gates this).
+  thread_local PointBlock block;
   for (std::size_t b0 = 0; b0 < points.size(); b0 += block_size) {
     const std::size_t b1 = std::min(b0 + block_size, points.size());
-    for (std::size_t s = 0; s < count; ++s) {
-      const level_t* l = levels + s * d;
-      const flat_index_t base = offsets[s];
-      for (std::size_t p = b0; p < b1; ++p)
-        out[p] += subspace_contribution(coeffs.data(), l, d, base, points[p]);
-    }
+    block.assign(plan.dim(), points.subspan(b0, b1 - b0));
+    evaluate_block_soa(plan, coeffs, block);
+    const real_t* acc = block.accum();
+    for (std::size_t p = b0; p < b1; ++p) out[p] += acc[p - b0];
   }
 }
 

@@ -44,11 +44,6 @@ void omp_hierarchize(CompactStorage& storage, int num_threads);
 /// Bit-identical to csg::dehierarchize for every thread count.
 void omp_dehierarchize(CompactStorage& storage, int num_threads);
 
-/// Parallel evaluation at many points on the compact structure.
-std::vector<real_t> omp_evaluate_many(const CompactStorage& storage,
-                                      std::span<const CoordVector> points,
-                                      int num_threads);
-
 /// Parallel cache-blocked evaluation (Sec. 4.3 blocking + Fig. 11b style
 /// threading): the point set is cut into blocks, threads take whole blocks
 /// with a static schedule, and every thread accumulates into the disjoint

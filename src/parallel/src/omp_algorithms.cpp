@@ -51,22 +51,6 @@ void omp_dehierarchize(CompactStorage& storage, int num_threads) {
   omp_sweep(storage, true, num_threads);
 }
 
-std::vector<real_t> omp_evaluate_many(const CompactStorage& storage,
-                                      std::span<const CoordVector> points,
-                                      int num_threads) {
-  CSG_EXPECTS(num_threads >= 1);
-  // Fetch the plan once outside the region; per-point evaluate() would
-  // take the plan-cache lock from every thread on every call.
-  const auto plan = EvaluationPlan::shared(storage.grid());
-  const std::span<const real_t> coeffs(storage.data(),
-                                       storage.values().size());
-  std::vector<real_t> out(points.size());
-#pragma omp parallel for schedule(static) num_threads(num_threads)
-  for (std::size_t p = 0; p < points.size(); ++p)
-    out[p] = evaluate_span(*plan, coeffs, points[p]);
-  return out;
-}
-
 std::vector<real_t> omp_evaluate_many_blocked(
     const CompactStorage& storage, std::span<const CoordVector> points,
     std::size_t block_size, int num_threads) {

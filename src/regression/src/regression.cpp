@@ -46,7 +46,7 @@ double dot(const std::vector<real_t>& a, const std::vector<real_t>& b) {
 
 std::vector<real_t> apply_design(const CompactStorage& storage,
                                  std::span<const CoordVector> points) {
-  return evaluate_many(storage, points);
+  return evaluate_many_blocked(storage, points);
 }
 
 void apply_design_transposed(const RegularSparseGrid& grid,

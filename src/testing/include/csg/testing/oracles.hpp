@@ -2,7 +2,8 @@
 //
 // Each oracle runs one operation through every implementation the library
 // has — the production pole sweep and its OpenMP form against the paper's
-// group-order and literal Alg. 6 (reference_hierarchize.hpp), the
+// group-order and literal Alg. 6 (reference_hierarchize.hpp), the SoA
+// evaluation kernel against the scalar Alg. 7 (reference_evaluate.hpp), the
 // recursive and key-value algorithms over the map/hash/prefix-tree
 // baselines, the serializer — and checks that they all describe the same
 // function. Comparison is ULP-aware (compare.hpp) with two budgets: the
@@ -73,19 +74,21 @@ OracleResult check_dehierarchize_parity(const CompactStorage& coeffs,
 OracleResult check_round_trip(const CompactStorage& values,
                               const OracleOptions& opts = {});
 
-/// Every evaluation path — plan, walk, blocked at several block sizes,
-/// OpenMP, recursive/key-value over the baselines — agrees at `points`
-/// (values are interpreted as hierarchical coefficients).
+/// Every evaluation path agrees with the scalar walk (evaluate_walk,
+/// reference_evaluate.hpp) at `points`: single-point evaluate, blocked at
+/// several block sizes and OpenMP at 0 ULPs, recursive/key-value over the
+/// baselines within cross_ulps (values are interpreted as hierarchical
+/// coefficients).
 OracleResult check_evaluate_parity(const CompactStorage& coeffs,
                                    std::span<const CoordVector> points,
                                    const OracleOptions& opts = {});
 
-/// Differential battery for the SoA batch kernel (DESIGN.md §14): the SoA
-/// and scalar blocked paths are each pinned against the per-point reference
-/// walker with the exact_ulps comparator, across a block-size sweep that
-/// includes 1, the lane width +-1, and oversized blocks, plus a direct
-/// evaluate_block_soa call on a hand-built PointBlock. Kernel selection is
-/// flipped via set_eval_kernel and restored on exit.
+/// Differential battery for the SoA batch kernel (DESIGN.md §14): the
+/// production blocked path and the scalar blocked oracle
+/// (evaluate_blocked_scalar) are each pinned against the scalar walk with
+/// the exact_ulps comparator, across a block-size sweep that includes 1,
+/// the lane width +-1, and oversized blocks, plus the OpenMP form and a
+/// direct evaluate_block_soa call on a hand-built PointBlock.
 OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
                                    std::span<const CoordVector> points,
                                    const OracleOptions& opts = {});

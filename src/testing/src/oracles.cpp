@@ -16,6 +16,7 @@
 #include "csg/parallel/omp_algorithms.hpp"
 #include "csg/testing/compare.hpp"
 #include "csg/testing/generators.hpp"
+#include "csg/testing/reference_evaluate.hpp"
 #include "csg/testing/reference_hierarchize.hpp"
 
 namespace csg::testing {
@@ -200,7 +201,7 @@ OracleResult check_evaluate_parity(const CompactStorage& coeffs,
 
   std::vector<real_t> ref(points.size());
   for (std::size_t p = 0; p < points.size(); ++p)
-    ref[p] = evaluate(coeffs, points[p]);
+    ref[p] = evaluate_walk(grid, raw, points[p]);
 
   auto compare_values = [&](std::span<const real_t> got,
                             const std::string& what, std::uint64_t max_ulps,
@@ -228,23 +229,24 @@ OracleResult check_evaluate_parity(const CompactStorage& coeffs,
   {
     std::vector<real_t> got(points.size());
     for (std::size_t p = 0; p < points.size(); ++p)
-      got[p] = evaluate_span_walk(grid, raw, points[p]);
-    compare_values(got, "evaluate vs evaluate_span_walk", opts.exact_ulps, 0);
+      got[p] = evaluate(coeffs, points[p]);
+    compare_values(got, "evaluate_walk vs evaluate", opts.exact_ulps, 0);
   }
-  compare_values(evaluate_many(coeffs, points), "evaluate vs evaluate_many",
-                 opts.exact_ulps, 0);
   for (const std::size_t block : {std::size_t{1}, std::size_t{7},
                                   std::size_t{64}, points.size() + 3}) {
     compare_values(evaluate_many_blocked(coeffs, points, block),
-                   "evaluate vs evaluate_many_blocked(block=" +
+                   "evaluate_walk vs evaluate_many_blocked(block=" +
                        std::to_string(block) + ")",
                    opts.exact_ulps, 0);
   }
-  compare_values(parallel::omp_evaluate_many(coeffs, points, opts.threads),
-                 "evaluate vs omp_evaluate_many", opts.exact_ulps, 0);
-  compare_values(
-      parallel::omp_evaluate_many_blocked(coeffs, points, 5, opts.threads),
-      "evaluate vs omp_evaluate_many_blocked", opts.exact_ulps, 0);
+  for (const std::size_t block : {std::size_t{1}, std::size_t{5}}) {
+    compare_values(
+        parallel::omp_evaluate_many_blocked(coeffs, points, block,
+                                            opts.threads),
+        "evaluate_walk vs omp_evaluate_many_blocked(block=" +
+            std::to_string(block) + ")",
+        opts.exact_ulps, 0);
+  }
 
   if (opts.include_baselines) {
     const auto tree = to_baseline<baselines::PrefixTreeStorage>(coeffs);
@@ -254,33 +256,16 @@ OracleResult check_evaluate_parity(const CompactStorage& coeffs,
       rec[p] = baselines::evaluate_recursive(tree, points[p]);
       kv[p] = baselines::evaluate_iterative(hash, points[p]);
     }
-    compare_values(rec, "evaluate vs recursive(prefix-tree)", opts.cross_ulps,
-                   opts.abs_floor);
-    compare_values(kv, "evaluate vs kv-iterative(hash)", opts.cross_ulps,
+    compare_values(rec, "evaluate_walk vs recursive(prefix-tree)",
+                   opts.cross_ulps, opts.abs_floor);
+    compare_values(kv, "evaluate_walk vs kv-iterative(hash)", opts.cross_ulps,
                    opts.abs_floor);
     compare_values(
         baselines::evaluate_many_blocked_iterative(hash, points, 9),
-        "evaluate vs kv-blocked(hash)", opts.cross_ulps, opts.abs_floor);
+        "evaluate_walk vs kv-blocked(hash)", opts.cross_ulps, opts.abs_floor);
   }
   return r;
 }
-
-namespace {
-
-/// Restores the process-wide kernel selection when a differential oracle
-/// that flips it (check_eval_soa_parity) leaves scope, pass or fail.
-class KernelGuard {
- public:
-  KernelGuard() : saved_(eval_kernel()) {}
-  ~KernelGuard() { set_eval_kernel(saved_); }
-  KernelGuard(const KernelGuard&) = delete;
-  KernelGuard& operator=(const KernelGuard&) = delete;
-
- private:
-  EvalKernel saved_;
-};
-
-}  // namespace
 
 OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
                                    std::span<const CoordVector> points,
@@ -291,7 +276,7 @@ OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
 
   std::vector<real_t> ref(points.size());
   for (std::size_t p = 0; p < points.size(); ++p)
-    ref[p] = evaluate(coeffs, points[p]);
+    ref[p] = evaluate_walk(coeffs.grid(), raw, points[p]);
 
   auto compare_values = [&](std::span<const real_t> got,
                             const std::string& what) {
@@ -320,20 +305,17 @@ OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
   const std::size_t lane = kPointBlockLane;
   const std::size_t sweep[] = {1,        lane - 1,          lane,
                                lane + 1, 3 * lane,          points.size() + 3};
-  KernelGuard guard;
-  for (const EvalKernel kernel : {EvalKernel::kScalar, EvalKernel::kSoa}) {
-    set_eval_kernel(kernel);
-    const char* name = kernel == EvalKernel::kSoa ? "soa" : "scalar";
-    for (const std::size_t block : sweep) {
-      compare_values(evaluate_many_blocked(coeffs, points, block),
-                     std::string("evaluate vs blocked[") + name +
-                         "](block=" + std::to_string(block) + ")");
-    }
-    compare_values(
-        parallel::omp_evaluate_many_blocked(*plan, raw, points, lane + 1,
-                                            opts.threads),
-        std::string("evaluate vs omp_blocked[") + name + "]");
+  for (const std::size_t block : sweep) {
+    const std::string tag = "(block=" + std::to_string(block) + ")";
+    compare_values(evaluate_blocked_scalar(coeffs, points, block),
+                   "evaluate_walk vs evaluate_blocked_scalar" + tag);
+    compare_values(evaluate_many_blocked(coeffs, points, block),
+                   "evaluate_walk vs evaluate_many_blocked" + tag);
   }
+  compare_values(
+      parallel::omp_evaluate_many_blocked(*plan, raw, points, lane + 1,
+                                          opts.threads),
+      "evaluate_walk vs omp_evaluate_many_blocked");
 
   // Direct kernel call on a hand-built PointBlock: the accumulator lanes for
   // the real points must match the walker; the padded tail is scratch.
@@ -342,7 +324,7 @@ OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
     block.assign(coeffs.dim(), points);
     evaluate_block_soa(*plan, raw, block);
     compare_values(std::span<const real_t>(block.accum(), points.size()),
-                   "evaluate vs evaluate_block_soa(direct)");
+                   "evaluate_walk vs evaluate_block_soa(direct)");
   }
   return r;
 }

@@ -1,0 +1,76 @@
+#include "csg/testing/reference_evaluate.hpp"
+
+#include <algorithm>
+
+#include "csg/core/evaluation_plan.hpp"
+#include "csg/core/grid_point.hpp"
+#include "csg/core/level_enumeration.hpp"
+
+namespace csg::testing {
+
+namespace {
+
+/// Contribution of one subspace (level components l[0..d), coefficients
+/// starting at flat position `base`) to the interpolant at x: the one basis
+/// with x in its support, times its coefficient. The body of Alg. 7 lines
+/// 6-16, shared by both references so they produce bit-identical sums.
+real_t subspace_contribution(const real_t* coeffs, const level_t* l, dim_t d,
+                             flat_index_t base, const CoordVector& x) {
+  real_t prod = 1;
+  flat_index_t index1 = 0;
+  for (dim_t t = 0; t < d; ++t) {
+    const index1d_t i = support_index_1d(l[t], x[t]);
+    index1 = (index1 << l[t]) + ((i - 1) >> 1);
+    prod *= hat_basis_1d(l[t], i, x[t]);
+    if (prod == 0) return 0;  // x on a grid line of this subspace
+  }
+  return prod * coeffs[base + index1];
+}
+
+}  // namespace
+
+real_t evaluate_walk(const RegularSparseGrid& grid,
+                     std::span<const real_t> coeffs, const CoordVector& x) {
+  CSG_EXPECTS(x.size() == grid.dim());
+  CSG_EXPECTS(coeffs.size() >= grid.num_points());
+  const dim_t d = grid.dim();
+  const level_t n = grid.level();
+  real_t res = 0;
+  flat_index_t index2 = 0;
+  for (level_t j = 0; j < n; ++j) {
+    LevelVector l = first_level(d, j);
+    const std::uint64_t subspaces = grid.subspaces_in_group(j);
+    for (std::uint64_t k = 0; k < subspaces; ++k) {
+      res += subspace_contribution(coeffs.data(), l.data(), d, index2, x);
+      index2 += grid.points_per_subspace(j);
+      if (k + 1 < subspaces) advance_level(l);
+    }
+  }
+  CSG_ASSERT(index2 == grid.num_points());
+  return res;
+}
+
+std::vector<real_t> evaluate_blocked_scalar(
+    const CompactStorage& coeffs, std::span<const CoordVector> points,
+    std::size_t block_size) {
+  CSG_EXPECTS(block_size >= 1);
+  const auto plan = EvaluationPlan::shared(coeffs.grid());
+  const dim_t d = plan->dim();
+  const level_t* levels = plan->packed_levels();
+  const flat_index_t* offsets = plan->offsets();
+  const std::size_t count = plan->subspace_count();
+  for (const CoordVector& x : points) CSG_EXPECTS(x.size() == d);
+  std::vector<real_t> out(points.size(), 0);
+  for (std::size_t b0 = 0; b0 < points.size(); b0 += block_size) {
+    const std::size_t b1 = std::min(b0 + block_size, points.size());
+    for (std::size_t s = 0; s < count; ++s) {
+      const level_t* l = levels + s * d;
+      for (std::size_t p = b0; p < b1; ++p)
+        out[p] += subspace_contribution(coeffs.data(), l, d, offsets[s],
+                                        points[p]);
+    }
+  }
+  return out;
+}
+
+}  // namespace csg::testing

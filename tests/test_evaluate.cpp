@@ -11,6 +11,7 @@
 #include "csg/testing/generators.hpp"
 #include "csg/testing/oracles.hpp"
 #include "csg/testing/property.hpp"
+#include "csg/testing/reference_evaluate.hpp"
 #include "csg/workloads/functions.hpp"
 #include "csg/workloads/sampling.hpp"
 
@@ -18,13 +19,6 @@ namespace csg {
 namespace {
 
 using workloads::TestFunction;
-
-/// Restores the process-wide kernel selection on scope exit so a failing
-/// assertion cannot leak a forced kernel into later tests.
-struct KernelGuard {
-  EvalKernel saved = eval_kernel();
-  ~KernelGuard() { set_eval_kernel(saved); }
-};
 
 CompactStorage compressed(const TestFunction& f, dim_t d, level_t n) {
   CompactStorage s(d, n);
@@ -69,7 +63,7 @@ TEST(Evaluate, ExactForRepresentableFunction) {
 TEST(Evaluate, ManyMatchesSingle) {
   const CompactStorage s = compressed(workloads::simulation_field(3), 3, 5);
   const auto pts = workloads::uniform_points(3, 64, 5);
-  const auto many = evaluate_many(s, pts);
+  const auto many = evaluate_many_blocked(s, pts);
   ASSERT_EQ(many.size(), pts.size());
   for (std::size_t p = 0; p < pts.size(); ++p)
     EXPECT_EQ(many[p], evaluate(s, pts[p]));
@@ -80,7 +74,7 @@ class BlockSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(BlockSizeSweep, BlockedEvaluationMatchesUnblocked) {
   const CompactStorage s = compressed(workloads::oscillatory(4), 4, 4);
   const auto pts = workloads::uniform_points(4, 133, 17);
-  const auto plain = evaluate_many(s, pts);
+  const auto plain = evaluate_many_blocked(s, pts, 1);
   const auto blocked = evaluate_many_blocked(s, pts, GetParam());
   ASSERT_EQ(blocked.size(), plain.size());
   for (std::size_t p = 0; p < pts.size(); ++p)
@@ -126,28 +120,13 @@ TEST(Evaluate, HigherDimensionalErrorIsControlled) {
   EXPECT_LT(err, 0.05);
 }
 
-TEST(EvaluateSoa, KernelSelectionApi) {
-  KernelGuard guard;
-  set_eval_kernel(EvalKernel::kScalar);
-  EXPECT_EQ(eval_kernel(), EvalKernel::kScalar);
-  EXPECT_FALSE(eval_uses_soa());
-  set_eval_kernel(EvalKernel::kSoa);
-  EXPECT_EQ(eval_kernel(), EvalKernel::kSoa);
-  EXPECT_TRUE(eval_uses_soa());
-  set_eval_kernel(EvalKernel::kAuto);
-  EXPECT_EQ(eval_kernel(), EvalKernel::kAuto);
-}
-
 TEST(EvaluateSoa, BitIdenticalToScalarAcrossBlockSizes) {
   const CompactStorage s = compressed(workloads::oscillatory(4), 4, 5);
   const auto pts = workloads::uniform_points(4, 3 * kPointBlockLane + 5, 23);
-  KernelGuard guard;
   for (const std::size_t block :
        {std::size_t{1}, kPointBlockLane - 1, kPointBlockLane,
         kPointBlockLane + 1, pts.size() + 40}) {
-    set_eval_kernel(EvalKernel::kScalar);
-    const auto scalar = evaluate_many_blocked(s, pts, block);
-    set_eval_kernel(EvalKernel::kSoa);
+    const auto scalar = testing::evaluate_blocked_scalar(s, pts, block);
     const auto soa = evaluate_many_blocked(s, pts, block);
     ASSERT_EQ(soa.size(), scalar.size());
     for (std::size_t p = 0; p < pts.size(); ++p)
@@ -158,25 +137,24 @@ TEST(EvaluateSoa, BitIdenticalToScalarAcrossBlockSizes) {
 TEST(EvaluateSoa, BoundaryAndGridLinePoints) {
   // Points exactly on the 0/1 domain boundary and on dyadic grid lines sit
   // on a subspace support edge: the hat product is an exact 0 there, and
-  // the branch-free select must reproduce the scalar path bit for bit.
+  // the branch-free select must reproduce the scalar walk bit for bit.
   const CompactStorage s = compressed(workloads::simulation_field(2), 2, 5);
   const std::vector<CoordVector> pts{
       {0.0, 0.0},   {1.0, 1.0},  {0.0, 1.0},    {0.5, 0.5},
       {0.25, 0.75}, {0.5, 0.31}, {0.125, 0.625}, {1.0, 0.41},
       {0.0, 0.99},  {0.875, 0.0}};
-  KernelGuard guard;
-  set_eval_kernel(EvalKernel::kSoa);
   const auto soa = evaluate_many_blocked(s, pts, 4);
-  for (std::size_t p = 0; p < pts.size(); ++p)
-    EXPECT_EQ(soa[p], evaluate(s, pts[p])) << "point " << p;
+  for (std::size_t p = 0; p < pts.size(); ++p) {
+    const real_t walk = testing::evaluate_walk(s.grid(), s.values(), pts[p]);
+    EXPECT_EQ(soa[p], walk) << "point " << p;
+    EXPECT_EQ(evaluate(s, pts[p]), walk) << "point " << p;
+  }
   EXPECT_EQ(soa[0], 0.0);
   EXPECT_EQ(soa[1], 0.0);
   EXPECT_EQ(soa[2], 0.0);
 }
 
 TEST(EvaluateSoa, DegenerateShapes) {
-  KernelGuard guard;
-  set_eval_kernel(EvalKernel::kSoa);
   {
     // d = 1, n = 1: a single basis function.
     CompactStorage s(1, 1);
@@ -208,8 +186,6 @@ TEST(EvaluateSoa, StatsCountBlocksLanesAndSubspaces) {
   const auto pts = workloads::uniform_points(3, 133, 7);
   const auto plan = EvaluationPlan::shared(s.grid());
   const std::size_t block = 17;
-  KernelGuard guard;
-  set_eval_kernel(EvalKernel::kSoa);
   reset_soa_kernel_stats();
   (void)evaluate_many_blocked(s, pts, block);
   const SoaKernelStats stats = soa_kernel_stats();
@@ -222,16 +198,27 @@ TEST(EvaluateSoa, StatsCountBlocksLanesAndSubspaces) {
   EXPECT_EQ(stats.blocks, blocks);
   EXPECT_EQ(stats.lanes, lanes);
   EXPECT_EQ(stats.subspaces_visited, blocks * plan->subspace_count());
-  // The scalar path must not touch the SoA tallies.
-  set_eval_kernel(EvalKernel::kScalar);
-  (void)evaluate_many_blocked(s, pts, block);
-  EXPECT_EQ(soa_kernel_stats().blocks, blocks);
+  // A single-point evaluate is one block of one lane over every subspace.
+  reset_soa_kernel_stats();
+  (void)evaluate(s, pts[0]);
+  const SoaKernelStats one = soa_kernel_stats();
+  EXPECT_EQ(one.blocks, 1u);
+  EXPECT_EQ(one.lanes, 1u);
+  EXPECT_EQ(one.subspaces_visited, plan->subspace_count());
+  // Both share this thread's PointBlock arena: warmed by the calls above,
+  // it does not grow while single-point and batch calls alternate.
+  const std::uint64_t arena0 = PointBlock::allocation_count();
+  for (int k = 0; k < 4; ++k) {
+    (void)evaluate(s, pts[static_cast<std::size_t>(k)]);
+    (void)evaluate_many_blocked(s, pts, block);
+  }
+  EXPECT_EQ(PointBlock::allocation_count(), arena0);
 }
 
 TEST(EvaluateSoa, OracleBatteryOnRandomGrids) {
-  // Differential property: SoA vs scalar vs the reference walker over
-  // seeded random shapes, coefficients, and point clouds. Replay a failure
-  // with CSG_PROPERTY_SEED=<seed> (docs/TESTING.md).
+  // Differential property: SoA vs the scalar oracles (blocked loop and
+  // walk) over seeded random shapes, coefficients, and point clouds. Replay
+  // a failure with CSG_PROPERTY_SEED=<seed> (docs/TESTING.md).
   const auto r = testing::run_property(
       {"eval_soa_parity", 8}, [](std::mt19937_64& rng) {
         const auto shape = testing::random_shape(

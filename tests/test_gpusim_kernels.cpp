@@ -40,7 +40,7 @@ TEST_P(KernelSweep, EvaluationIsBitIdenticalToCpu) {
   s.sample(workloads::gaussian_bump(d).f);
   hierarchize(s);
   const auto pts = workloads::uniform_points(d, 128, 5);
-  const auto cpu = evaluate_many(s, pts);
+  const auto cpu = evaluate_many_blocked(s, pts);
   Launcher ln(tesla_c1060());
   GpuRunReport rep;
   const auto gpu = gpu_evaluate(ln, s, pts, &rep);
@@ -255,7 +255,7 @@ TEST(GpuKernels, EvaluateHandlesNonMultipleBlockSizes) {
   const auto pts = workloads::uniform_points(2, 130, 9);  // 130 = 2*64 + 2
   Launcher ln(tesla_c1060());
   const auto gpu = gpu_evaluate(ln, s, pts);
-  const auto cpu = evaluate_many(s, pts);
+  const auto cpu = evaluate_many_blocked(s, pts);
   for (std::size_t p = 0; p < cpu.size(); ++p) ASSERT_EQ(gpu[p], cpu[p]);
 }
 

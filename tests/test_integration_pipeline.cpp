@@ -80,8 +80,8 @@ TEST(Pipeline, ParallelAndSequentialPipelinesAgreeEndToEnd) {
   parallel::omp_hierarchize(par, 4);
 
   const auto pts = workloads::halton_points(d, 500);
-  const auto a = evaluate_many(seq, pts);
-  const auto b = parallel::omp_evaluate_many(par, pts, 4);
+  const auto a = evaluate_many_blocked(seq, pts);
+  const auto b = parallel::omp_evaluate_many_blocked(par, pts, 64, 4);
   for (std::size_t p = 0; p < pts.size(); ++p) EXPECT_EQ(a[p], b[p]);
 }
 

@@ -10,6 +10,7 @@
 #include "csg/baselines/prefix_tree_storage.hpp"
 #include "csg/testing/oracles.hpp"
 #include "csg/testing/param_names.hpp"
+#include "csg/testing/reference_evaluate.hpp"
 #include "csg/testing/reference_hierarchize.hpp"
 #include "csg/workloads/functions.hpp"
 #include "csg/workloads/sampling.hpp"
@@ -123,10 +124,15 @@ TEST_P(ThreadSweep, OmpEvaluateMatchesSequential) {
   s.sample(workloads::oscillatory(d).f);
   hierarchize(s);
   const auto pts = workloads::uniform_points(d, 257, 31);
-  const auto seq = evaluate_many(s, pts);
-  const auto par = omp_evaluate_many(s, pts, threads);
+  // Per-point form: one-point blocks, sequential and threaded, against the
+  // scalar per-point plan scan.
+  const auto seq = csg::testing::evaluate_blocked_scalar(s, pts, 1);
+  const auto par = omp_evaluate_many_blocked(s, pts, 1, threads);
   ASSERT_EQ(par.size(), seq.size());
-  for (std::size_t p = 0; p < pts.size(); ++p) EXPECT_EQ(par[p], seq[p]);
+  for (std::size_t p = 0; p < pts.size(); ++p) {
+    EXPECT_EQ(par[p], seq[p]);
+    EXPECT_EQ(evaluate(s, pts[p]), seq[p]);
+  }
 }
 
 TEST_P(ThreadSweep, OmpRecursiveHierarchizationOverBaselines) {
@@ -162,7 +168,7 @@ TEST_P(ThreadSweep, OmpRecursiveEvaluationOverBaselines) {
   sample(tree, workloads::parabola_product(d).f);
   baselines::hierarchize_recursive(tree);
   const auto pts = workloads::uniform_points(d, 100, 77);
-  const auto expected = evaluate_many(s, pts);
+  const auto expected = evaluate_many_blocked(s, pts);
   const auto got = omp_evaluate_many_recursive(tree, pts, threads);
   for (std::size_t p = 0; p < pts.size(); ++p)
     EXPECT_NEAR(got[p], expected[p], 1e-13);
@@ -200,7 +206,7 @@ TEST_P(ThreadSweep, OmpBlockedEvaluateEdgeBlockSizes) {
   s.sample(workloads::oscillatory(d).f);
   hierarchize(s);
   const auto pts = workloads::uniform_points(d, 103, 19);  // prime count
-  const auto expected = evaluate_many(s, pts);
+  const auto expected = csg::testing::evaluate_blocked_scalar(s, pts, 1);
   for (const std::size_t block :
        {std::size_t{1}, pts.size() + 17, std::size_t{16}, std::size_t{64}}) {
     const auto got = omp_evaluate_many_blocked(s, pts, block, threads);
@@ -218,13 +224,13 @@ TEST_P(ThreadSweep, OmpBlockedEvaluateEmptyPointSet) {
   hierarchize(s);
   const std::vector<CoordVector> none;
   EXPECT_TRUE(omp_evaluate_many_blocked(s, none, 8, threads).empty());
-  EXPECT_TRUE(omp_evaluate_many(s, none, threads).empty());
+  EXPECT_TRUE(omp_evaluate_many_blocked(s, none, 1, threads).empty());
 }
 
 TEST_P(ThreadSweep, OmpBlockedEvaluateBitIdenticalToSpanWalk) {
-  // evaluate_span_walk is the no-plan reference for Alg. 7; the entire
-  // evaluation family — plan-based, blocked, threaded — is defined to be
-  // bit-identical to it, so EXPECT_EQ, not EXPECT_NEAR.
+  // testing::evaluate_walk is the no-plan reference for Alg. 7; every
+  // production evaluation path — single point, blocked, threaded — is
+  // defined to be bit-identical to it, so EXPECT_EQ, not EXPECT_NEAR.
   const int threads = GetParam();
   const dim_t d = 4;
   CompactStorage s(d, 4);
@@ -234,7 +240,8 @@ TEST_P(ThreadSweep, OmpBlockedEvaluateBitIdenticalToSpanWalk) {
   const auto got = omp_evaluate_many_blocked(s, pts, 7, threads);
   ASSERT_EQ(got.size(), pts.size());
   for (std::size_t p = 0; p < pts.size(); ++p)
-    ASSERT_EQ(got[p], evaluate_span_walk(s.grid(), s.values(), pts[p]))
+    ASSERT_EQ(got[p],
+              csg::testing::evaluate_walk(s.grid(), s.values(), pts[p]))
         << "threads=" << threads << " point=" << p;
 }
 

@@ -58,16 +58,6 @@ expect 2 "usage:" evalbatch "$WORK/g.csg" --block 0
 expect 2 "usage:" evalbatch "$WORK/g.csg" --threads 0
 expect 2 "usage:" evalbatch "$WORK/g.csg" --threads -3
 
-# --- evalbatch: kernel flags are mutually exclusive; each alone works and
-# the banner names the path it forced ----------------------------------------
-expect 2 "exclusive" evalbatch "$WORK/g.csg" --soa --scalar
-"$CSGTOOL" evalbatch "$WORK/g.csg" --points 100 --soa >"$WORK/out" 2>&1 \
-    && grep -q "soa kernel \[forced\]" "$WORK/out" \
-    || { echo "FAIL: evalbatch --soa banner" >&2; FAILURES=$((FAILURES + 1)); }
-"$CSGTOOL" evalbatch "$WORK/g.csg" --points 100 --scalar >"$WORK/out" 2>&1 \
-    && grep -q "scalar kernel \[forced\]" "$WORK/out" \
-    || { echo "FAIL: evalbatch --scalar banner" >&2; FAILURES=$((FAILURES + 1)); }
-
 # --- restrict: keep list and anchor validation ------------------------------
 expect 2 "usage:" restrict "$WORK/g.csg" --keep 0,1,2 --anchor 0.5 -o "$WORK/s.csg"   # keeps all dims
 expect 2 "usage:" restrict "$WORK/g.csg" --keep 0,7 --anchor 0.5 -o "$WORK/s.csg"     # out of range

@@ -179,6 +179,7 @@ def mask_comments_and_strings(text):
 
 class SourceFile:
     def __init__(self, root, relpath):
+        self.root = root
         self.relpath = relpath
         self.abspath = os.path.join(root, relpath)
         with open(self.abspath, encoding="utf-8", errors="replace") as f:
@@ -544,7 +545,7 @@ class SimdScalarParityRule(Rule):
     description = (
         "`#pragma omp simd` in src/core needs an adjacent `// scalar "
         "fallback: <name>` comment whose named reference lives in the "
-        "same TU"
+        "same TU or in the src/testing oracle library"
     )
 
     # The pragma is code (it survives masking); the tag is a comment, so it
@@ -553,8 +554,28 @@ class SimdScalarParityRule(Rule):
     PRAGMA = re.compile(r"#\s*pragma\s+omp\s+simd\b")
     FALLBACK = re.compile(r"//\s*scalar fallback:\s*(\w+)")
 
+    ORACLE_DIR = os.path.join("src", "testing")
+
+    def __init__(self):
+        self._oracle_code = {}  # root -> masked code of src/testing
+
     def applies(self, relpath):
         return relpath.replace(os.sep, "/").startswith("src/core/")
+
+    def oracle_code(self, root):
+        """Masked code of every C++ file in the oracle library, where the
+        scalar references of the production kernels live."""
+        if root not in self._oracle_code:
+            parts = []
+            base = os.path.join(root, self.ORACLE_DIR)
+            for dirpath, dirnames, filenames in os.walk(base):
+                dirnames.sort()
+                for fn in sorted(filenames):
+                    if fn.endswith((".hpp", ".cpp")):
+                        rel = os.path.relpath(os.path.join(dirpath, fn), root)
+                        parts.append(SourceFile(root, rel).masked)
+            self._oracle_code[root] = "\n".join(parts)
+        return self._oracle_code[root]
 
     def run(self, src):
         findings = []
@@ -573,12 +594,16 @@ class SimdScalarParityRule(Rule):
                     "<name>` comment: every vectorized loop must name the "
                     "scalar reference the differential tests pin it against",
                 ))
-            elif not re.search(r"\b" + re.escape(name) + r"\b", src.masked):
+            else:
+                word = re.compile(r"\b" + re.escape(name) + r"\b")
+                if word.search(src.masked) or word.search(
+                        self.oracle_code(src.root)):
+                    continue
                 findings.append(Finding(
                     self.name, src.relpath, i + 1,
-                    f"scalar fallback `{name}` is not defined or referenced "
-                    "in this translation unit — the vectorized loop has "
-                    "lost its bit-identity partner",
+                    f"scalar fallback `{name}` is found neither in this "
+                    "translation unit nor in src/testing — the vectorized "
+                    "loop has lost its bit-identity partner",
                 ))
         return findings
 

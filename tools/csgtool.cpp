@@ -62,7 +62,6 @@ int usage() {
                "  csgtool eval F.csg x1 ... xd\n"
                "  csgtool evalbatch F.csg [--points K] [--block B]\n"
                "                    [--threads T] [--seed S]\n"
-               "                    [--soa | --scalar]  (default: auto)\n"
                "  csgtool integrate F.csg\n"
                "  csgtool slice F.csg [--dimx A] [--dimy B] [--anchor V]\n"
                "                      [--width W] [--height H] [--pgm OUT]\n"
@@ -98,12 +97,6 @@ const char* flag_value(int argc, char** argv, const char* flag,
   for (int k = 0; k + 1 < argc; ++k)
     if (std::strcmp(argv[k], flag) == 0) return argv[k + 1];
   return fallback;
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int k = 0; k < argc; ++k)
-    if (std::strcmp(argv[k], flag) == 0) return true;
-  return false;
 }
 
 int cmd_create(int argc, char** argv) {
@@ -190,14 +183,6 @@ int cmd_evalbatch(const char* path, int argc, char** argv) {
       std::atoi(flag_value(argc, argv, "--threads",
                            std::to_string(hw).c_str()));
   if (count < 1 || block < 1 || threads < 1) return usage();
-  const bool want_soa = has_flag(argc, argv, "--soa");
-  const bool want_scalar = has_flag(argc, argv, "--scalar");
-  if (want_soa && want_scalar) {
-    std::fprintf(stderr, "csgtool: --soa and --scalar are exclusive\n");
-    return usage();
-  }
-  if (want_soa) set_eval_kernel(EvalKernel::kSoa);
-  if (want_scalar) set_eval_kernel(EvalKernel::kScalar);
 
   const auto pts = workloads::uniform_points(s.grid().dim(), count, seed);
   // The batched query path of the Fig. 1 pipeline: one shared
@@ -215,15 +200,11 @@ int cmd_evalbatch(const char* path, int argc, char** argv) {
     lo = std::min(lo, v);
     hi = std::max(hi, v);
   }
-  // Report the kernel actually selected: forced by flag, or resolved by
-  // auto (which honours CSG_FORCE_SCALAR_EVAL).
-  const char* kernel_name = eval_uses_soa() ? "soa" : "scalar";
   std::printf("evaluated %zu points (plan: %zu subspaces, %.1f KB; "
-              "block %zu, %d thread(s), %s kernel%s)\n",
+              "block %zu, %d thread(s))\n",
               values.size(), plan->subspace_count(),
               static_cast<double>(plan->memory_bytes()) / 1e3, block,
-              threads, kernel_name,
-              want_soa || want_scalar ? " [forced]" : " [auto]");
+              threads);
   std::printf("  time       %.4f s  (%.0f evals/s)\n", secs,
               static_cast<double>(values.size()) / secs);
   std::printf("  mean       %.6g\n",
