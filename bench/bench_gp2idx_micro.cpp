@@ -1,5 +1,6 @@
 // Experiment E13 — microbenchmarks of the bijection itself (google-
-// benchmark): gp2idx, idx2gp, the next iterator and subspace ranking.
+// benchmark): gp2idx, idx2gp (strided and in storage order), the next
+// iterator and subspace ranking.
 // Supports the paper's O(d) claim for gp2idx (Sec. 4.2) with measured
 // per-call times across dimensionality. A reporter adapter mirrors every
 // per-iteration run into the shared BENCH_*.json record alongside the
@@ -67,6 +68,20 @@ void BM_idx2gp(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_idx2gp)->DenseRange(2, 10, 2);
+
+// Storage order, as the sample stage walks it: consecutive positions share
+// a subspace, so idx2gp's per-thread subspace memo skips the unranking.
+void BM_idx2gp_sequential(benchmark::State& state) {
+  const auto d = static_cast<dim_t>(state.range(0));
+  const RegularSparseGrid& g = grid_for(d);
+  flat_index_t j = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(g.idx2gp(j));
+    if (++j == g.num_points()) j = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_idx2gp_sequential)->DenseRange(2, 10, 2);
 
 void BM_next_level(benchmark::State& state) {
   const auto d = static_cast<dim_t>(state.range(0));

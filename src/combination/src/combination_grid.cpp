@@ -2,8 +2,6 @@
 
 #include <omp.h>
 
-#include <cmath>
-
 #include "csg/core/binomial_table.hpp"
 #include "csg/core/grid_point.hpp"
 #include "csg/core/hierarchize.hpp"
@@ -48,8 +46,8 @@ std::size_t ComponentGrid::flat(const DimVector<std::size_t>& k) const {
 CoordVector ComponentGrid::coordinates(const DimVector<std::size_t>& k) const {
   CoordVector x(dim());
   for (dim_t t = 0; t < dim(); ++t)
-    x[t] = std::ldexp(static_cast<real_t>(k[t]),
-                      -static_cast<int>(level_[t] + 1));
+    x[t] = static_cast<real_t>(k[t]) *
+           exact_pow2(-static_cast<int>(level_[t] + 1));
   return x;
 }
 
@@ -79,7 +77,7 @@ real_t ComponentGrid::interpolate(const CoordVector& x) const {
   DimVector<std::size_t> base(dim());   // left grid index (0 = boundary)
   CoordVector weight_right(dim());
   for (dim_t t = 0; t < dim(); ++t) {
-    const real_t scaled = std::ldexp(x[t], static_cast<int>(level_[t] + 1));
+    const real_t scaled = x[t] * exact_pow2(static_cast<int>(level_[t] + 1));
     CSG_EXPECTS(x[t] >= 0 && x[t] <= 1);
     const auto cells = static_cast<real_t>(std::size_t{2} << level_[t]);
     const real_t clamped = std::min(scaled, cells);  // x == 1 edge

@@ -10,6 +10,8 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "csg/core/dim_vector.hpp"
 #include "csg/core/types.hpp"
@@ -37,9 +39,23 @@ struct Parent1d {
   static Parent1d at(level_t l, index1d_t i) { return {false, l, i}; }
 };
 
-/// Coordinate of the 1d point (l, i): i * 2^{-(l+1)}.
+/// Exactly 2^e, built from the exponent bits, for e in the normal range
+/// [-1022, 1023]. Multiplying by an exact power of two is correctly rounded,
+/// and so is ldexp, so x * exact_pow2(e) is bit-identical to ldexp(x, e)
+/// for every x (subnormal results, 0, inf and NaN included), without the
+/// library call.
+inline real_t exact_pow2(int e) {
+  static_assert(std::numeric_limits<real_t>::is_iec559 &&
+                sizeof(real_t) == sizeof(std::uint64_t));
+  CSG_ASSERT(e >= -1022 && e <= 1023);
+  return std::bit_cast<real_t>(static_cast<std::uint64_t>(e + 1023) << 52);
+}
+
+/// Coordinate of the 1d point (l, i): i * 2^{-(l+1)}, one multiplication by
+/// an exact power of two (bit-identical to ldexp; i < 2^{kMaxLevel}
+/// converts to real_t exactly).
 inline real_t coordinate_1d(level_t l, index1d_t i) {
-  return std::ldexp(static_cast<real_t>(i), -static_cast<int>(l + 1));
+  return static_cast<real_t>(i) * exact_pow2(-static_cast<int>(l + 1));
 }
 
 /// Coordinates of a d-dimensional grid point.
@@ -84,7 +100,7 @@ inline index1d_t right_child_index_1d(index1d_t i) { return 2 * i + 1; }
 /// The 1d hat function of the point (l, i) evaluated at x:
 /// max(1 - |x - x_{l,i}| / h, 0) with h = 2^{-(l+1)}.
 inline real_t hat_basis_1d(level_t l, index1d_t i, real_t x) {
-  const real_t h_inv = std::ldexp(real_t{1}, static_cast<int>(l + 1));
+  const real_t h_inv = exact_pow2(static_cast<int>(l + 1));
   const real_t v = real_t{1} - std::abs(x * h_inv - static_cast<real_t>(i));
   return v > 0 ? v : 0;
 }
@@ -95,7 +111,7 @@ inline real_t hat_basis_1d(level_t l, index1d_t i, real_t x) {
 /// is exactly the zero-boundary convention.
 inline index1d_t support_index_1d(level_t l, real_t x) {
   CSG_ASSERT(x >= 0 && x <= 1);
-  auto cell = static_cast<index1d_t>(std::ldexp(x, static_cast<int>(l)));
+  auto cell = static_cast<index1d_t>(x * exact_pow2(static_cast<int>(l)));
   const index1d_t max_cell = (index1d_t{1} << l) - 1;
   if (cell > max_cell) cell = max_cell;  // guards x == 1-eps rounding up
   return 2 * cell + 1;

@@ -111,16 +111,36 @@ class RegularSparseGrid {
   }
 
   /// Inverse bijection: the grid point stored at flat position idx.
-  /// O(d + n): locate the level group, unrank the subspace, decode i.
+  /// Locate the level group (O(log n)), take the subspace level vector from
+  /// a per-thread memo of the last (d, j, rank) -> l unranking, and decode
+  /// i in place. The 2^j consecutive points of a subspace share one
+  /// unranking, so sequential access (sampling in storage order) costs
+  /// amortised O(d); a memo miss pays the O(d + n) unrank_subspace scan.
+  /// The key needs no n: the level vector depends only on (d, j, rank),
+  /// because binmat holds the same binomials in every grid.
   GridPoint idx2gp(flat_index_t idx) const {
     CSG_EXPECTS(idx < num_points());
     const level_t j = group_of(idx);
     const flat_index_t local = idx - group_offset_[j];
     const std::uint64_t rank = local >> j;
-    GridPoint gp;
-    gp.level = unrank_subspace(d_, j, rank, binmat_);
-    gp.index = point_in_subspace(gp.level, local & ((flat_index_t{1} << j) - 1));
-    return gp;
+    // Same per-thread idiom as evaluate.cpp's PointBlock arena: no locking,
+    // no member, nothing shared between threads. A fresh memo has d == 0,
+    // which no grid has, so the first call always unranks.
+    struct SubspaceMemo {
+      dim_t d = 0;
+      level_t j = 0;
+      std::uint64_t rank = 0;
+      LevelVector level;
+    };
+    thread_local SubspaceMemo memo;
+    if (memo.d != d_ || memo.j != j || memo.rank != rank) {
+      memo.level = unrank_subspace(d_, j, rank, binmat_);
+      memo.d = d_;
+      memo.j = j;
+      memo.rank = rank;
+    }
+    return {memo.level,
+            point_in_subspace(memo.level, local & ((flat_index_t{1} << j) - 1))};
   }
 
   /// Decode index1 (row-major position) into the index vector of subspace l.

@@ -19,7 +19,7 @@ struct HatEval {
 };
 
 HatEval hat_value_and_derivative(level_t l, index1d_t i, real_t x) {
-  const real_t h_inv = std::ldexp(real_t{1}, static_cast<int>(l + 1));
+  const real_t h_inv = exact_pow2(static_cast<int>(l + 1));
   const real_t u = x * h_inv - static_cast<real_t>(i);
   if (u <= -1 || u >= 1) return {0, 0};
   return {1 - std::abs(u), u <= 0 ? h_inv : -h_inv};
@@ -81,7 +81,7 @@ real_t integrate(const CompactStorage& storage) {
     const flat_index_t end = grid.group_offset(j + 1);
     for (flat_index_t idx = grid.group_offset(j); idx < end; ++idx)
       group_sum += storage[idx];
-    total += std::ldexp(group_sum, -static_cast<int>(j + d));
+    total += group_sum * exact_pow2(-static_cast<int>(j + d));
   }
   return total;
 }

@@ -50,7 +50,9 @@ class GridRegistry {
  public:
   /// Register `storage` under `name`, replacing any previous grid of that
   /// name (in-flight requests against the old entry finish on it). Returns
-  /// the published entry.
+  /// the published entry. Throws std::invalid_argument, naming the grid and
+  /// the first bad flat index, if a coefficient is NaN or infinite; the
+  /// registry is then left unchanged.
   std::shared_ptr<const GridEntry> add(const std::string& name,
                                        CompactStorage storage);
 

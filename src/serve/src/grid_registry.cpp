@@ -1,12 +1,24 @@
 #include "csg/serve/grid_registry.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 #include <utility>
 
 namespace csg::serve {
 
 std::shared_ptr<const GridEntry> GridRegistry::add(const std::string& name,
                                                    CompactStorage storage) {
+  // One NaN or inf coefficient turns every answer on its support into NaN,
+  // so it is refused at the boundary, before the registry is touched.
+  const std::vector<real_t>& v = storage.values();
+  const auto bad = std::find_if(v.begin(), v.end(),
+                                [](real_t c) { return !std::isfinite(c); });
+  if (bad != v.end())
+    throw std::invalid_argument(
+        "GridRegistry::add: grid '" + name + "' has a non-finite coefficient (" +
+        std::to_string(*bad) + ") at flat index " +
+        std::to_string(bad - v.begin()));
   // Build (and plan) outside the lock: registration of a large grid must
   // not stall concurrent lookups.
   auto entry = std::make_shared<const GridEntry>(name, std::move(storage));

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 namespace csg {
 namespace {
 
@@ -10,6 +16,79 @@ TEST(GridPoint, Coordinate1d) {
   EXPECT_DOUBLE_EQ(coordinate_1d(1, 1), 0.25);
   EXPECT_DOUBLE_EQ(coordinate_1d(1, 3), 0.75);
   EXPECT_DOUBLE_EQ(coordinate_1d(2, 5), 0.625);
+}
+
+// exact_pow2 replaces every ldexp in the core and combination modules.
+// Both forms are correctly rounded, so they must agree to the bit (0 ULP),
+// subnormal results included.
+std::uint64_t bits(real_t v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// x in [0, 1]: 0, 1, subnormals, the smallest normal, values next to 0.5
+/// and 1, and a dense sweep with non-dyadic values between.
+std::vector<real_t> unit_sweep() {
+  using lim = std::numeric_limits<real_t>;
+  std::vector<real_t> xs{0.0,
+                         1.0,
+                         lim::denorm_min(),
+                         3 * lim::denorm_min(),
+                         lim::min() / 3,
+                         lim::min() - lim::denorm_min(),
+                         lim::min(),
+                         std::nextafter(0.5, 0.0),
+                         0.5,
+                         std::nextafter(0.5, 1.0),
+                         std::nextafter(1.0, 0.0)};
+  for (int k = 1; k < 4096; ++k) xs.push_back(k / 4096.0 + k * 1e-9 / 4096);
+  for (int k = 1; k < 997; ++k) xs.push_back(k / 997.0);
+  return xs;
+}
+
+TEST(GridPoint, ExactPow2IsLdexpOfOne) {
+  for (int e = -1022; e <= 1023; ++e)
+    ASSERT_EQ(bits(exact_pow2(e)), bits(std::ldexp(1.0, e))) << "e=" << e;
+}
+
+TEST(GridPoint, ExactPow2ScalingMatchesLdexpToTheBit) {
+  // Exponents well past every call site (|e| <= kMaxLevel + kMaxDim), so
+  // the x sweep's subnormals are rounded by both forms.
+  for (int e = -80; e <= 80; ++e)
+    for (const real_t x : unit_sweep())
+      ASSERT_EQ(bits(x * exact_pow2(e)), bits(std::ldexp(x, e)))
+          << "x=" << x << " e=" << e;
+}
+
+TEST(GridPoint, Coordinate1dMatchesLdexpToTheBit) {
+  for (level_t l = 0; l < kMaxLevel; ++l) {
+    const index1d_t top = (index1d_t{1} << (l + 1)) - 1;
+    std::vector<index1d_t> is{1, top, (top / 2) | 1, (top / 3) | 1};
+    // A multiplicative-hash spread of odd indices below 2^{l+1}.
+    for (index1d_t k = 1; k <= 64; ++k)
+      is.push_back(((k * 0x9e3779b97f4a7c15ull) & top) | 1);
+    for (const index1d_t i : is) {
+      ASSERT_TRUE(valid_point_1d(l, i));
+      ASSERT_EQ(bits(coordinate_1d(l, i)),
+                bits(std::ldexp(static_cast<real_t>(i),
+                                -static_cast<int>(l + 1))))
+          << "l=" << l << " i=" << i;
+    }
+  }
+}
+
+TEST(GridPoint, HatAndSupportIndexMatchLdexpFormsToTheBit) {
+  for (level_t l = 0; l < kMaxLevel; ++l) {
+    const index1d_t max_cell = (index1d_t{1} << l) - 1;
+    for (const real_t x : unit_sweep()) {
+      auto cell = static_cast<index1d_t>(std::ldexp(x, static_cast<int>(l)));
+      if (cell > max_cell) cell = max_cell;
+      const index1d_t i = support_index_1d(l, x);
+      ASSERT_EQ(i, 2 * cell + 1) << "l=" << l << " x=" << x;
+      const real_t v =
+          real_t{1} - std::abs(x * std::ldexp(1.0, static_cast<int>(l + 1)) -
+                               static_cast<real_t>(i));
+      ASSERT_EQ(bits(hat_basis_1d(l, i, x)), bits(v > 0 ? v : 0))
+          << "l=" << l << " x=" << x;
+    }
+  }
 }
 
 TEST(GridPoint, CoordinatesMultiDim) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -243,6 +245,29 @@ TEST_P(ThreadSweep, OmpBlockedEvaluateBitIdenticalToSpanWalk) {
     ASSERT_EQ(got[p],
               csg::testing::evaluate_walk(s.grid(), s.values(), pts[p]))
         << "threads=" << threads << " point=" << p;
+}
+
+TEST_P(ThreadSweep, OmpIdx2GpSampleIsBitIdenticalToCompactSample) {
+  // idx2gp's subspace memo is thread_local: a static-schedule OpenMP sample
+  // through idx2gp (each thread starts mid-subspace with a cold memo) must
+  // equal the sequential CompactStorage::sample bit for bit.
+  const int threads = GetParam();
+  const dim_t d = 6;
+  const level_t n = 8;
+  const auto f = workloads::simulation_field(d);
+  CompactStorage seq(d, n);
+  seq.sample(f.f);
+  const RegularSparseGrid& g = seq.grid();
+  std::vector<real_t> par(seq.size());
+  const auto count = static_cast<std::int64_t>(g.num_points());
+#pragma omp parallel for schedule(static) num_threads(threads)
+  for (std::int64_t j = 0; j < count; ++j)
+    par[static_cast<std::size_t>(j)] =
+        f.f(coordinates(g.idx2gp(static_cast<flat_index_t>(j))));
+  for (flat_index_t j = 0; j < seq.size(); ++j)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(seq[j]),
+              std::bit_cast<std::uint64_t>(par[j]))
+        << "threads=" << threads << " idx=" << j;
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweep,

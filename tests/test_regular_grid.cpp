@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace csg {
 namespace {
@@ -122,6 +125,68 @@ TEST(RegularGrid, RandomizedBijectionAtPaperScale) {
           if (const flat_index_t back = g.gp2idx(gp); back != idx)
             return "round trip " + std::to_string(idx) + " -> gp -> " +
                    std::to_string(back);
+        }
+        return std::string{};
+      });
+  EXPECT_TRUE(r.passed) << r.detail;
+}
+
+// idx2gp memoises the last (d, j, rank) -> level-vector unranking per
+// thread. Interleaving grids that share d but not n, share n but not d, and
+// d = 1 must never hand out a stale level vector.
+std::string check_idx2gp(const RegularSparseGrid& g, flat_index_t idx) {
+  const GridPoint gp = g.idx2gp(idx);
+  const level_t j = g.group_of(idx);
+  const LevelVector fresh = unrank_subspace(
+      g.dim(), j, (idx - g.group_offset(j)) >> j, g.binmat());
+  if (gp.level != fresh)
+    return "grid (" + std::to_string(g.dim()) + "," +
+           std::to_string(g.level()) + ") idx " + std::to_string(idx) +
+           ": memoised level differs from unrank_subspace";
+  if (const flat_index_t back = g.gp2idx(gp); back != idx)
+    return "grid (" + std::to_string(g.dim()) + "," +
+           std::to_string(g.level()) + ") round trip " + std::to_string(idx) +
+           " -> gp -> " + std::to_string(back);
+  return {};
+}
+
+const std::vector<RegularSparseGrid>& interleaved_grids() {
+  static const std::vector<RegularSparseGrid> grids{
+      {3, 5}, {3, 6}, {4, 5}, {1, 7}};
+  return grids;
+}
+
+TEST(RegularGrid, Idx2GpMemoSequentialInterleavedGrids) {
+  // Each grid walks its storage order once, in runs of 3 consecutive
+  // positions taken round robin with the other grids. Grid k starts k
+  // quarters of the way in (wrapping), so a memo hit within a run and a
+  // switch between grids that differ in d, in j, or in rank alone all occur.
+  const auto& grids = interleaved_grids();
+  constexpr flat_index_t kRun = 3;
+  flat_index_t longest = 0;
+  for (const auto& g : grids) longest = std::max(longest, g.num_points());
+  for (flat_index_t step = 0; step < longest; step += kRun)
+    for (std::size_t k = 0; k < grids.size(); ++k) {
+      const flat_index_t size = grids[k].num_points();
+      for (flat_index_t s = step; s < std::min(step + kRun, size); ++s) {
+        const std::string err =
+            check_idx2gp(grids[k], (s + k * size / 4) % size);
+        ASSERT_TRUE(err.empty()) << err;
+      }
+    }
+}
+
+TEST(RegularGrid, Idx2GpMemoRandomInterleavedGrids) {
+  const auto r = testing::run_property(
+      {"idx2gp_memo_interleaved", 8}, [](std::mt19937_64& rng) {
+        const auto& grids = interleaved_grids();
+        std::uniform_int_distribution<std::size_t> pick(0, grids.size() - 1);
+        for (int trial = 0; trial < 2000; ++trial) {
+          const RegularSparseGrid& g = grids[pick(rng)];
+          std::uniform_int_distribution<flat_index_t> dist(
+              0, g.num_points() - 1);
+          if (std::string err = check_idx2gp(g, dist(rng)); !err.empty())
+            return err;
         }
         return std::string{};
       });

@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,6 +80,33 @@ TEST(GridRegistry, ReplaceKeepsOldEntryAliveForHolders) {
   EXPECT_EQ(old_entry->storage.grid().level(), 3u);
   EXPECT_EQ(evaluate(old_entry->storage, CoordVector{0.5, 0.5}),
             evaluate(old_entry->storage, CoordVector{0.5, 0.5}));
+}
+
+TEST(GridRegistry, AddRejectsNonFiniteCoefficients) {
+  GridRegistry reg;
+  const auto kept = reg.add("field", make_grid(2, 4));
+  const auto bytes = reg.memory_bytes();
+  for (const real_t bad : {std::numeric_limits<real_t>::quiet_NaN(),
+                           std::numeric_limits<real_t>::infinity(),
+                           -std::numeric_limits<real_t>::infinity()}) {
+    CompactStorage s = make_grid(2, 4);
+    s[7] = bad;
+    s[9] = bad;  // only the first bad index is named
+    for (const std::string name : {"field", "fresh"}) {
+      try {
+        reg.add(name, s);
+        ADD_FAILURE() << "accepted " << bad << " under '" << name << "'";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'" + name + "'"), std::string::npos) << what;
+        EXPECT_NE(what.find("flat index 7"), std::string::npos) << what;
+      }
+    }
+    // The rejected replace left the existing entry in place.
+    EXPECT_EQ(reg.names(), std::vector<std::string>{"field"});
+    EXPECT_EQ(reg.find("field"), kept);
+    EXPECT_EQ(reg.memory_bytes(), bytes);
+  }
 }
 
 TEST(GridRegistry, MemoryBytesTracksLiveEntriesOnly) {

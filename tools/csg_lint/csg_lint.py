@@ -44,6 +44,9 @@ Rules (catalog and suppression policy in docs/STATIC_ANALYSIS.md):
                          naming the scalar reference implementation kept in
                          the same TU, so a vectorized kernel can never lose
                          its differential-testing partner silently
+  exact-pow2             no ldexp in src/core or src/combination: scale by
+                         x * exact_pow2(e), bit-identical to ldexp (both
+                         are correctly rounded) without the library call
 
 Findings are suppressed per site, never blanket:
   code();  // csg-lint: allow(rule-name) -- reason
@@ -608,6 +611,31 @@ class SimdScalarParityRule(Rule):
         return findings
 
 
+class ExactPow2Rule(Rule):
+    name = "exact-pow2"
+    description = (
+        "no ldexp in src/core or src/combination: multiply by "
+        "csg::exact_pow2(e), which is bit-identical and skips the library "
+        "call"
+    )
+
+    # std::ldexp, ::ldexp and an unqualified ldexp all end in this call.
+    LDEXP = re.compile(r"\bldexp\s*\(")
+
+    def applies(self, relpath):
+        p = relpath.replace(os.sep, "/")
+        return p.startswith("src/core/") or p.startswith("src/combination/")
+
+    def run(self, src):
+        return [
+            Finding(self.name, src.relpath, src.line_of_offset(m.start()),
+                    "ldexp call: scale by an exact power of two with "
+                    "x * exact_pow2(e) (grid_point.hpp); both are correctly "
+                    "rounded, so results stay bit-identical")
+            for m in self.LDEXP.finditer(src.masked)
+        ]
+
+
 class HeaderSelfContainedRule(Rule):
     """Compiles every public header standalone; not a per-file text rule."""
 
@@ -670,7 +698,8 @@ class HeaderSelfContainedRule(Rule):
 def text_rules(_args):
     return [ShiftWidthRule(), ImplicitNarrowingRule(), RawAllocRule(),
             OmpLoopCounterRule(), PragmaOnceRule(), BenchSeedRule(),
-            MutexGuardAnnotationsRule(), SimdScalarParityRule()]
+            MutexGuardAnnotationsRule(), SimdScalarParityRule(),
+            ExactPow2Rule()]
 
 
 def collect_sources(root):
@@ -755,6 +784,7 @@ FIXTURES = {
     "bench-seed": "bad_bench_seed.cpp",
     "mutex-guard-annotations": "bad_mutex_guard.cpp",
     "simd-scalar-parity": "bad_simd_scalar_parity.cpp",
+    "exact-pow2": "bad_ldexp.cpp",
 }
 
 
