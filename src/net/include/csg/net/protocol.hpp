@@ -26,6 +26,7 @@
 
 #include "csg/core/dim_vector.hpp"
 #include "csg/core/types.hpp"
+#include "csg/serve/counters.hpp"
 
 namespace csg::net {
 
@@ -34,7 +35,7 @@ inline constexpr std::array<char, 4> kMagic{'C', 'S', 'R', 'V'};
 /// Byte-order tag, written natively; a byte-swapped peer reads 0x04030201.
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 /// Wire protocol version this build speaks.
-inline constexpr std::uint16_t kVersion = 1;
+inline constexpr std::uint16_t kVersion = 2;
 /// Fixed frame header size: magic + tag + real width + version + type +
 /// reserved + payload length (see docs/SERVING.md for the layout table).
 inline constexpr std::size_t kFrameHeaderBytes = 24;
@@ -126,50 +127,56 @@ struct ListResponse {
   std::vector<GridInfo> grids;
 };
 
-/// Per-shard counter triple of the sharded EvalService, appended to the
-/// stats frame after the fixed v1 fields (see kStatsFieldCount).
-struct WireShardStats {
-  std::uint64_t submits = 0;
-  std::uint64_t rejections = 0;
-  std::uint64_t max_queue_depth = 0;
-};
+/// Cumulative network-layer counters of a NetServer (the service keeps its
+/// own). Declared once, like the serve:: counter blocks.
+template <typename T>
+struct NetCounters {
+  T connections_accepted{};
+  T connections_rejected{};  ///< over max_connections
+  T connections_closed{};
+  T frames_decoded{};   ///< well-formed request frames
+  T frames_rejected{};  ///< malformed or over-limit frames
+  T eval_requests{};
+  T eval_points{};
+  T list_requests{};
+  T stats_requests{};
+  T error_frames_sent{};
+  T bytes_in{};
+  T bytes_out{};
+  T active_connections{};  ///< gauge, not cumulative
+  /// High-water mark of response slots outstanding on any one connection.
+  T frames_in_flight_peak{};
+  /// Frames admitted while >= 1 earlier frame on the same connection was
+  /// still pending — zero for a strictly serial client.
+  T pipelined_frames{};
 
-/// Cumulative counters of the serving stack, service + network layer, as
-/// one flat list of u64 fields (field count on the wire for forward
-/// compatibility; v1 wrote exactly kStatsFieldCount, newer builds append
-/// the pipelining counters and the per-shard triples behind it).
+  template <typename F, typename... B>
+  static void fields(F&& f, B&... b) {
+    f("connections_accepted", b.connections_accepted...);
+    f("connections_rejected", b.connections_rejected...);
+    f("connections_closed", b.connections_closed...);
+    f("frames_decoded", b.frames_decoded...);
+    f("frames_rejected", b.frames_rejected...);
+    f("eval_requests", b.eval_requests...);
+    f("eval_points", b.eval_points...);
+    f("list_requests", b.list_requests...);
+    f("stats_requests", b.stats_requests...);
+    f("error_frames_sent", b.error_frames_sent...);
+    f("bytes_in", b.bytes_in...);
+    f("bytes_out", b.bytes_out...);
+    f("active_connections", b.active_connections...);
+    f("frames_in_flight_peak", b.frames_in_flight_peak...);
+    f("pipelined_frames", b.pipelined_frames...);
+  }
+};
+using NetServerStats = NetCounters<std::uint64_t>;
+
+/// Stats response body: every counter of the service, its shards and the
+/// network layer, keyed by name on the wire.
 struct WireStats {
-  // serve::ServiceStats
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t not_found = 0;
-  std::uint64_t invalid = 0;
-  std::uint64_t shed_at_admission = 0;
-  std::uint64_t batches_formed = 0;
-  std::uint64_t batched_points = 0;
-  std::uint64_t max_batch = 0;
-  // NetServer
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t frames_decoded = 0;
-  std::uint64_t frames_rejected = 0;
-  std::uint64_t eval_requests = 0;
-  std::uint64_t eval_points = 0;
-  // Appended fields (absent on frames from a pre-pipelining peer; the
-  // decoder leaves the defaults in place for those).
-  std::uint64_t frames_in_flight_peak = 0;  ///< per-connection high-water
-  std::uint64_t pipelined_frames = 0;  ///< frames admitted with >=1 pending
-  std::vector<WireShardStats> shards;  ///< per-shard service counters
+  serve::ServiceStats service;
+  NetServerStats net;
 };
-
-/// The v1 field floor: every stats frame carries at least these 16 fields.
-/// Newer builds append `kStatsAppendedFieldCount` scalar fields (pipelining
-/// counters + shard count) followed by 3 u64 per shard; an older reader
-/// skips everything past the floor by count.
-inline constexpr std::uint32_t kStatsFieldCount = 16;
-inline constexpr std::uint32_t kStatsAppendedFieldCount = 3;
 
 /// Error frame: `code` is a WireError value; `id` echoes the offending
 /// request's id when one was decodable, 0 otherwise.
@@ -205,6 +212,8 @@ WireError decode_header(std::span<const std::uint8_t> bytes, FrameHeader& out,
 /// trailing or missing byte is kBadPayload. decode_eval_request additionally
 /// enforces limits.max_batch_points (kOversizedBatch) and
 /// limits.max_name_bytes / dimension bounds (kBadPayload).
+/// decode_stats_response matches counters by name: unknown names are
+/// skipped, missing ones read 0.
 WireError decode_eval_request(std::span<const std::uint8_t> payload,
                               EvalRequest& out, const ProtocolLimits& limits);
 WireError decode_eval_response(std::span<const std::uint8_t> payload,
@@ -214,7 +223,7 @@ WireError decode_list_response(std::span<const std::uint8_t> payload,
                                ListResponse& out,
                                const ProtocolLimits& limits);
 WireError decode_stats_response(std::span<const std::uint8_t> payload,
-                                WireStats& out);
+                                WireStats& out, const ProtocolLimits& limits);
 WireError decode_error(std::span<const std::uint8_t> payload, ErrorFrame& out,
                        const ProtocolLimits& limits);
 

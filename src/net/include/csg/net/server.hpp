@@ -56,29 +56,6 @@ struct NetServerOptions {
   std::size_t max_in_flight = 8;
 };
 
-/// Cumulative network-layer counters (the service keeps its own). Reads are
-/// individually atomic, like serve::ServiceStats.
-struct NetServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_rejected = 0;  ///< over max_connections
-  std::uint64_t connections_closed = 0;
-  std::uint64_t frames_decoded = 0;   ///< well-formed request frames
-  std::uint64_t frames_rejected = 0;  ///< malformed or over-limit frames
-  std::uint64_t eval_requests = 0;
-  std::uint64_t eval_points = 0;
-  std::uint64_t list_requests = 0;
-  std::uint64_t stats_requests = 0;
-  std::uint64_t error_frames_sent = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t active_connections = 0;  ///< gauge, not cumulative
-  /// High-water mark of response slots outstanding on any one connection.
-  std::uint64_t frames_in_flight_peak = 0;
-  /// Frames admitted while >= 1 earlier frame on the same connection was
-  /// still pending — zero for a strictly serial client.
-  std::uint64_t pipelined_frames = 0;
-};
-
 class NetServer {
  public:
   /// Listener, registry and service must outlive the server. Call start()
@@ -151,8 +128,8 @@ class NetServer {
   bool handle_frame(Pipeline& pipeline, const FrameHeader& header,
                     std::span<const std::uint8_t> payload);
   ResponseSlot error_slot(std::uint64_t id, WireError code);
-  bool send(ByteStream& stream, const std::vector<std::uint8_t>& frame);
-  bool send_error(ByteStream& stream, std::uint64_t id, WireError code);
+  bool send(ByteStream& stream, const std::vector<std::uint8_t>& frame,
+            bool is_error);
   /// Join finished connection threads (amortized in the accept loop).
   void reap_locked() CSG_REQUIRES(mutex_);
 
@@ -169,24 +146,7 @@ class NetServer {
   bool stopped_ CSG_GUARDED_BY(mutex_) = false;
   std::atomic<bool> stopping_{false};
 
-  struct Counters {
-    std::atomic<std::uint64_t> connections_accepted{0};
-    std::atomic<std::uint64_t> connections_rejected{0};
-    std::atomic<std::uint64_t> connections_closed{0};
-    std::atomic<std::uint64_t> frames_decoded{0};
-    std::atomic<std::uint64_t> frames_rejected{0};
-    std::atomic<std::uint64_t> eval_requests{0};
-    std::atomic<std::uint64_t> eval_points{0};
-    std::atomic<std::uint64_t> list_requests{0};
-    std::atomic<std::uint64_t> stats_requests{0};
-    std::atomic<std::uint64_t> error_frames_sent{0};
-    std::atomic<std::uint64_t> bytes_in{0};
-    std::atomic<std::uint64_t> bytes_out{0};
-    std::atomic<std::uint64_t> active_connections{0};
-    std::atomic<std::uint64_t> frames_in_flight_peak{0};
-    std::atomic<std::uint64_t> pipelined_frames{0};
-  };
-  Counters counters_;
+  NetCounters<serve::LiveCounter> counters_;
 };
 
 }  // namespace csg::net

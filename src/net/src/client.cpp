@@ -131,7 +131,7 @@ WireStats NetClient::fetch_stats() {
   const auto payload =
       round_trip(encode_stats_request(), MsgType::kStatsResponse);
   WireStats stats;
-  if (decode_stats_response(payload, stats) != WireError::kNone)
+  if (decode_stats_response(payload, stats, limits_) != WireError::kNone)
     throw std::runtime_error("csg::net: malformed stats response");
   return stats;
 }

@@ -1,5 +1,7 @@
 #include "csg/net/protocol.hpp"
 
+#include <string_view>
+
 namespace csg::net {
 
 namespace {
@@ -23,7 +25,7 @@ class Writer {
     if (n > 0) std::memcpy(out_.data() + at, data, n);
   }
 
-  void put_string(const std::string& s) {
+  void put_string(std::string_view s) {
     put<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
     put_bytes(s.data(), s.size());
   }
@@ -65,6 +67,7 @@ class Reader {
   }
 
   bool ok() const { return ok_; }
+  std::size_t remaining() const { return data_.size() - pos_; }
   /// True iff every payload byte was consumed and nothing overran.
   bool done() const { return ok_ && pos_ == data_.size(); }
 
@@ -73,6 +76,45 @@ class Reader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// A counter block on the wire: u32 count, then count (string name, u64
+/// value) pairs in the block's declaration order.
+template <typename Block>
+void put_block(Writer& w, const Block& block) {
+  std::uint32_t count = 0;
+  Block::fields([&](const char*, std::uint64_t) { ++count; }, block);
+  w.put<std::uint32_t>(count);
+  Block::fields(
+      [&](const char* name, std::uint64_t value) {
+        w.put_string(name);
+        w.put<std::uint64_t>(value);
+      },
+      block);
+}
+
+/// Read one counter block by name: unknown names are skipped (a newer peer's
+/// counters), names the frame lacks keep their current value. False on a
+/// truncated pair, an over-long name, or a pair count the remaining bytes
+/// cannot hold.
+template <typename Block>
+bool get_block(Reader& r, Block& block, const ProtocolLimits& limits) {
+  constexpr std::size_t kMinPairBytes =
+      sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  const auto count = r.get<std::uint32_t>();
+  if (!r.ok() || count > r.remaining() / kMinPairBytes) return false;
+  std::string name;
+  for (std::uint32_t k = 0; k < count; ++k) {
+    if (!r.get_string(name, limits.max_name_bytes)) return false;
+    const auto value = r.get<std::uint64_t>();
+    if (!r.ok()) return false;
+    Block::fields(
+        [&](const char* field, std::uint64_t& slot) {
+          if (name == field) slot = value;
+        },
+        block);
+  }
+  return true;
+}
 
 /// Reserve a frame header slot; the payload length is patched in last.
 std::vector<std::uint8_t> begin_frame(MsgType type) {
@@ -183,36 +225,11 @@ std::vector<std::uint8_t> encode_stats_request() {
 std::vector<std::uint8_t> encode_stats_response(const WireStats& msg) {
   auto frame = begin_frame(MsgType::kStatsResponse);
   Writer w(frame);
-  const auto shard_fields =
-      3 * static_cast<std::uint32_t>(msg.shards.size());
-  w.put<std::uint32_t>(kStatsFieldCount + kStatsAppendedFieldCount +
-                       shard_fields);
-  w.put<std::uint64_t>(msg.submitted);
-  w.put<std::uint64_t>(msg.completed);
-  w.put<std::uint64_t>(msg.rejected);
-  w.put<std::uint64_t>(msg.timed_out);
-  w.put<std::uint64_t>(msg.cancelled);
-  w.put<std::uint64_t>(msg.not_found);
-  w.put<std::uint64_t>(msg.invalid);
-  w.put<std::uint64_t>(msg.shed_at_admission);
-  w.put<std::uint64_t>(msg.batches_formed);
-  w.put<std::uint64_t>(msg.batched_points);
-  w.put<std::uint64_t>(msg.max_batch);
-  w.put<std::uint64_t>(msg.connections_accepted);
-  w.put<std::uint64_t>(msg.frames_decoded);
-  w.put<std::uint64_t>(msg.frames_rejected);
-  w.put<std::uint64_t>(msg.eval_requests);
-  w.put<std::uint64_t>(msg.eval_points);
-  // Appended past the v1 floor: pipelining counters, then the shard count
-  // and 3 u64 per shard. An older reader skips all of this by field count.
-  w.put<std::uint64_t>(msg.frames_in_flight_peak);
-  w.put<std::uint64_t>(msg.pipelined_frames);
-  w.put<std::uint64_t>(static_cast<std::uint64_t>(msg.shards.size()));
-  for (const WireShardStats& sh : msg.shards) {
-    w.put<std::uint64_t>(sh.submits);
-    w.put<std::uint64_t>(sh.rejections);
-    w.put<std::uint64_t>(sh.max_queue_depth);
-  }
+  put_block(w, msg.service);
+  put_block(w, msg.net);
+  w.put<std::uint32_t>(static_cast<std::uint32_t>(msg.service.shards.size()));
+  for (const serve::ServiceStats::ShardStats& sh : msg.service.shards)
+    put_block(w, sh);
   return end_frame(std::move(frame));
 }
 
@@ -301,53 +318,18 @@ WireError decode_list_response(std::span<const std::uint8_t> payload,
 }
 
 WireError decode_stats_response(std::span<const std::uint8_t> payload,
-                                WireStats& out) {
+                                WireStats& out, const ProtocolLimits& limits) {
   Reader r(payload);
-  const auto fields = r.get<std::uint32_t>();
-  // Forward compatibility: a newer peer may append fields; fewer than v1's
-  // set is malformed.
-  if (!r.ok() || fields < kStatsFieldCount) return WireError::kBadPayload;
-  out.submitted = r.get<std::uint64_t>();
-  out.completed = r.get<std::uint64_t>();
-  out.rejected = r.get<std::uint64_t>();
-  out.timed_out = r.get<std::uint64_t>();
-  out.cancelled = r.get<std::uint64_t>();
-  out.not_found = r.get<std::uint64_t>();
-  out.invalid = r.get<std::uint64_t>();
-  out.shed_at_admission = r.get<std::uint64_t>();
-  out.batches_formed = r.get<std::uint64_t>();
-  out.batched_points = r.get<std::uint64_t>();
-  out.max_batch = r.get<std::uint64_t>();
-  out.connections_accepted = r.get<std::uint64_t>();
-  out.frames_decoded = r.get<std::uint64_t>();
-  out.frames_rejected = r.get<std::uint64_t>();
-  out.eval_requests = r.get<std::uint64_t>();
-  out.eval_points = r.get<std::uint64_t>();
-  out.frames_in_flight_peak = 0;
-  out.pipelined_frames = 0;
-  out.shards.clear();
-  std::uint64_t extras = fields - kStatsFieldCount;
-  if (extras >= kStatsAppendedFieldCount) {
-    out.frames_in_flight_peak = r.get<std::uint64_t>();
-    out.pipelined_frames = r.get<std::uint64_t>();
-    const auto shard_count = r.get<std::uint64_t>();
-    extras -= kStatsAppendedFieldCount;
-    // The declared shard triples must fit inside the declared field count;
-    // a frame that claims more shards than fields is structurally broken.
-    if (!r.ok() || shard_count > extras / 3) return WireError::kBadPayload;
-    out.shards.assign(static_cast<std::size_t>(shard_count),
-                      WireShardStats{});
-    for (WireShardStats& sh : out.shards) {
-      sh.submits = r.get<std::uint64_t>();
-      sh.rejections = r.get<std::uint64_t>();
-      sh.max_queue_depth = r.get<std::uint64_t>();
-    }
-    extras -= 3 * shard_count;
-  }
-  // Skip fields appended by a newer peer. Bail on the first overrun: a
-  // garbage field count must not turn into a multi-billion-step spin.
-  for (std::uint64_t k = 0; k < extras && r.ok(); ++k)
-    (void)r.get<std::uint64_t>();
+  out = WireStats{};
+  if (!get_block(r, out.service, limits) || !get_block(r, out.net, limits))
+    return WireError::kBadPayload;
+  // Every shard block holds at least its own u32 pair count.
+  const auto shards = r.get<std::uint32_t>();
+  if (!r.ok() || shards > r.remaining() / sizeof(std::uint32_t))
+    return WireError::kBadPayload;
+  out.service.shards.resize(shards);
+  for (serve::ServiceStats::ShardStats& sh : out.service.shards)
+    if (!get_block(r, sh, limits)) return WireError::kBadPayload;
   return r.done() ? WireError::kNone : WireError::kBadPayload;
 }
 

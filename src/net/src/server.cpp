@@ -8,15 +8,6 @@ namespace csg::net {
 
 namespace {
 
-/// Atomic max for the frames_in_flight_peak counter.
-void update_max(std::atomic<std::uint64_t>& slot, std::uint64_t candidate) {
-  std::uint64_t seen = slot.load(std::memory_order_relaxed);
-  while (candidate > seen &&
-         !slot.compare_exchange_weak(seen, candidate,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 /// Header errors poison the stream position; payload errors do not.
 bool closes_connection(WireError e) {
   switch (e) {
@@ -72,33 +63,7 @@ void NetServer::stop() {
     if (c->thread.joinable()) c->thread.join();
 }
 
-NetServerStats NetServer::stats() const {
-  NetServerStats s;
-  s.connections_accepted =
-      counters_.connections_accepted.load(std::memory_order_relaxed);
-  s.connections_rejected =
-      counters_.connections_rejected.load(std::memory_order_relaxed);
-  s.connections_closed =
-      counters_.connections_closed.load(std::memory_order_relaxed);
-  s.frames_decoded = counters_.frames_decoded.load(std::memory_order_relaxed);
-  s.frames_rejected =
-      counters_.frames_rejected.load(std::memory_order_relaxed);
-  s.eval_requests = counters_.eval_requests.load(std::memory_order_relaxed);
-  s.eval_points = counters_.eval_points.load(std::memory_order_relaxed);
-  s.list_requests = counters_.list_requests.load(std::memory_order_relaxed);
-  s.stats_requests = counters_.stats_requests.load(std::memory_order_relaxed);
-  s.error_frames_sent =
-      counters_.error_frames_sent.load(std::memory_order_relaxed);
-  s.bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
-  s.active_connections =
-      counters_.active_connections.load(std::memory_order_relaxed);
-  s.frames_in_flight_peak =
-      counters_.frames_in_flight_peak.load(std::memory_order_relaxed);
-  s.pipelined_frames =
-      counters_.pipelined_frames.load(std::memory_order_relaxed);
-  return s;
-}
+NetServerStats NetServer::stats() const { return serve::snapshot(counters_); }
 
 void NetServer::reap_locked() {
   std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
@@ -118,7 +83,7 @@ void NetServer::accept_loop() {
     if (stopping_.load(std::memory_order_acquire) ||
         connections_.size() >= opts_.max_connections) {
       counters_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
-      send_error(*stream, 0, WireError::kNone);  // "go away" with code 0
+      send(*stream, error_slot(0, WireError::kNone).frame, true);  // go away
       continue;  // stream destructor closes it
     }
     counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
@@ -232,7 +197,7 @@ void NetServer::writer_loop(ByteStream& stream, Pipeline& pipeline) {
       }
       slot.frame = encode_eval_response(resp);
     }
-    if (!send(stream, slot.frame)) {
+    if (!send(stream, slot.frame, slot.is_error)) {
       // The stream is dead. Unblock the reader and drop everything still
       // queued — the futures inside resolve into discarded promises.
       {
@@ -249,8 +214,6 @@ void NetServer::writer_loop(ByteStream& stream, Pipeline& pipeline) {
       MutexLock lock(pipeline.mutex);
       --pipeline.inflight;
     }
-    if (slot.is_error)
-      counters_.error_frames_sent.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -269,7 +232,7 @@ bool NetServer::enqueue(Pipeline& pipeline, ResponseSlot slot) {
   pipeline.slot_ready.notify_one();
   if (outstanding > 0)
     counters_.pipelined_frames.fetch_add(1, std::memory_order_relaxed);
-  update_max(counters_.frames_in_flight_peak, outstanding + 1);
+  serve::raise_max(counters_.frames_in_flight_peak, outstanding + 1);
   return true;
 }
 
@@ -353,32 +316,8 @@ bool NetServer::handle_frame(Pipeline& pipeline, const FrameHeader& header,
       }
       counters_.frames_decoded.fetch_add(1, std::memory_order_relaxed);
       counters_.stats_requests.fetch_add(1, std::memory_order_relaxed);
-      const serve::ServiceStats sv = service_.stats();
-      const NetServerStats ns = stats();
-      WireStats out;
-      out.submitted = sv.submitted;
-      out.completed = sv.completed;
-      out.rejected = sv.rejected;
-      out.timed_out = sv.timed_out;
-      out.cancelled = sv.cancelled;
-      out.not_found = sv.not_found;
-      out.invalid = sv.invalid;
-      out.shed_at_admission = sv.shed_at_admission;
-      out.batches_formed = sv.batches_formed;
-      out.batched_points = sv.batched_points;
-      out.max_batch = sv.max_batch;
-      out.connections_accepted = ns.connections_accepted;
-      out.frames_decoded = ns.frames_decoded;
-      out.frames_rejected = ns.frames_rejected;
-      out.eval_requests = ns.eval_requests;
-      out.eval_points = ns.eval_points;
-      out.frames_in_flight_peak = ns.frames_in_flight_peak;
-      out.pipelined_frames = ns.pipelined_frames;
-      out.shards.reserve(sv.shards.size());
-      for (const auto& sh : sv.shards)
-        out.shards.push_back({sh.submits, sh.rejections, sh.max_queue_depth});
       ResponseSlot slot;
-      slot.frame = encode_stats_response(out);
+      slot.frame = encode_stats_response(WireStats{service_.stats(), stats()});
       return enqueue(pipeline, std::move(slot));
     }
 
@@ -391,22 +330,17 @@ bool NetServer::handle_frame(Pipeline& pipeline, const FrameHeader& header,
 }
 
 bool NetServer::send(ByteStream& stream,
-                     const std::vector<std::uint8_t>& frame) {
-  if (!stream.write_all(frame.data(), frame.size())) return false;
+                     const std::vector<std::uint8_t>& frame, bool is_error) {
+  // Account before the bytes can reach the peer, so a client that read
+  // this frame and then fetches stats sees it counted; undo on failure.
   counters_.bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
-  return true;
-}
-
-bool NetServer::send_error(ByteStream& stream, std::uint64_t id,
-                           WireError code) {
-  ErrorFrame err;
-  err.id = id;
-  err.code = static_cast<std::uint32_t>(code);
-  err.message = to_string(code);
-  const bool sent = send(stream, encode_error(err));
-  if (sent)
+  if (is_error)
     counters_.error_frames_sent.fetch_add(1, std::memory_order_relaxed);
-  return sent;
+  if (stream.write_all(frame.data(), frame.size())) return true;
+  counters_.bytes_out.fetch_sub(frame.size(), std::memory_order_relaxed);
+  if (is_error)
+    counters_.error_frames_sent.fetch_sub(1, std::memory_order_relaxed);
+  return false;
 }
 
 }  // namespace csg::net

@@ -37,7 +37,6 @@
 // point regardless of batch shape.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -49,6 +48,7 @@
 #include <vector>
 
 #include "csg/core/thread_annotations.hpp"
+#include "csg/serve/counters.hpp"
 #include "csg/serve/grid_registry.hpp"
 
 namespace csg::serve {
@@ -105,40 +105,6 @@ struct ServiceOptions {
   /// (or reject once the queue fills) until start(). Deterministic batch
   /// accounting for tests and benchmarks.
   bool start_paused = false;
-};
-
-/// Cumulative service counters. Reads are individually atomic; a snapshot
-/// taken while requests are in flight may be mid-update across fields.
-struct ServiceStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;   ///< evaluated and delivered kOk
-  std::uint64_t rejected = 0;    ///< queue-full rejections + post-stop submits
-  std::uint64_t timed_out = 0;
-  /// Subset of timed_out: requests whose deadline had already expired when
-  /// submit() ran, rejected before ever entering the queue (admission
-  /// control: dead work is shed at the door, not carried to a batch).
-  std::uint64_t shed_at_admission = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t not_found = 0;
-  std::uint64_t invalid = 0;
-  std::uint64_t batches_formed = 0;  ///< batches with >= 1 evaluated point
-  std::uint64_t batched_points = 0;  ///< points evaluated through batches
-  std::uint64_t max_batch = 0;       ///< largest batch evaluated
-
-  /// Per-shard counters; `shards.size()` is the configured shard count.
-  struct ShardStats {
-    std::uint64_t submits = 0;     ///< requests routed to this shard
-    std::uint64_t rejections = 0;  ///< queue-full + post-stop rejections here
-    std::uint64_t max_queue_depth = 0;  ///< high-water queue occupancy
-  };
-  std::vector<ShardStats> shards;
-
-  double mean_batch() const {
-    return batches_formed == 0
-               ? 0.0
-               : static_cast<double>(batched_points) /
-                     static_cast<double>(batches_formed);
-  }
 };
 
 class EvalService {
@@ -211,9 +177,7 @@ class EvalService {
     bool stopped CSG_GUARDED_BY(mutex) = false;
     std::vector<std::thread> workers CSG_GUARDED_BY(mutex);
 
-    std::atomic<std::uint64_t> submits{0};
-    std::atomic<std::uint64_t> rejections{0};
-    std::atomic<std::uint64_t> max_queue_depth{0};
+    ShardCounters<LiveCounter> counters;
   };
 
   void worker_loop(Shard& shard);
@@ -237,20 +201,7 @@ class EvalService {
   /// Immutable after construction (the Shard objects inside are not).
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  struct Counters {
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> rejected{0};
-    std::atomic<std::uint64_t> timed_out{0};
-    std::atomic<std::uint64_t> shed_at_admission{0};
-    std::atomic<std::uint64_t> cancelled{0};
-    std::atomic<std::uint64_t> not_found{0};
-    std::atomic<std::uint64_t> invalid{0};
-    std::atomic<std::uint64_t> batches_formed{0};
-    std::atomic<std::uint64_t> batched_points{0};
-    std::atomic<std::uint64_t> max_batch{0};
-  };
-  Counters counters_;
+  ServiceCounters<LiveCounter> counters_;
 };
 
 }  // namespace csg::serve

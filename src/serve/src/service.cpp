@@ -10,15 +10,6 @@ namespace csg::serve {
 
 namespace {
 
-/// Atomic max for the max_batch / max_queue_depth counters.
-void update_max(std::atomic<std::uint64_t>& slot, std::uint64_t candidate) {
-  std::uint64_t seen = slot.load(std::memory_order_relaxed);
-  while (candidate > seen &&
-         !slot.compare_exchange_weak(seen, candidate,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 bool valid_point(const GridEntry& entry, const CoordVector& point) {
   if (point.size() != entry.storage.dim()) return false;
   for (dim_t t = 0; t < point.size(); ++t)
@@ -125,12 +116,12 @@ std::future<EvalResult> EvalService::submit(const std::string& name,
   std::future<EvalResult> future = req.promise.get_future();
 
   Shard& shard = *shards_[shard_of(name)];
-  shard.submits.fetch_add(1, std::memory_order_relaxed);
+  shard.counters.submits.fetch_add(1, std::memory_order_relaxed);
   UniqueMutexLock lock(shard.mutex);
   if (shard.stopped || shard.stopping) {
     lock.unlock();
     counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-    shard.rejections.fetch_add(1, std::memory_order_relaxed);
+    shard.counters.rejections.fetch_add(1, std::memory_order_relaxed);
     req.promise.set_value({Status::kRejected, 0});
     return future;
   }
@@ -138,7 +129,7 @@ std::future<EvalResult> EvalService::submit(const std::string& name,
     if (opts_.overflow == OverflowPolicy::kReject) {
       lock.unlock();
       counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-      shard.rejections.fetch_add(1, std::memory_order_relaxed);
+      shard.counters.rejections.fetch_add(1, std::memory_order_relaxed);
       req.promise.set_value({Status::kRejected, 0});
       return future;
     }
@@ -167,7 +158,7 @@ std::future<EvalResult> EvalService::submit(const std::string& name,
     if (shard.stopping || shard.stopped) {
       lock.unlock();
       counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-      shard.rejections.fetch_add(1, std::memory_order_relaxed);
+      shard.counters.rejections.fetch_add(1, std::memory_order_relaxed);
       req.promise.set_value({Status::kRejected, 0});
       return future;
     }
@@ -175,7 +166,7 @@ std::future<EvalResult> EvalService::submit(const std::string& name,
   shard.queue.push_back(std::move(req));
   const auto depth = shard.queue.size();
   lock.unlock();
-  update_max(shard.max_queue_depth, depth);
+  raise_max(shard.counters.max_queue_depth, depth);
   shard.not_empty.notify_one();
   return future;
 }
@@ -256,27 +247,9 @@ std::size_t EvalService::pending() const {
 }
 
 ServiceStats EvalService::stats() const {
-  ServiceStats s;
-  s.submitted = counters_.submitted.load(std::memory_order_relaxed);
-  s.completed = counters_.completed.load(std::memory_order_relaxed);
-  s.rejected = counters_.rejected.load(std::memory_order_relaxed);
-  s.timed_out = counters_.timed_out.load(std::memory_order_relaxed);
-  s.shed_at_admission =
-      counters_.shed_at_admission.load(std::memory_order_relaxed);
-  s.cancelled = counters_.cancelled.load(std::memory_order_relaxed);
-  s.not_found = counters_.not_found.load(std::memory_order_relaxed);
-  s.invalid = counters_.invalid.load(std::memory_order_relaxed);
-  s.batches_formed = counters_.batches_formed.load(std::memory_order_relaxed);
-  s.batched_points = counters_.batched_points.load(std::memory_order_relaxed);
-  s.max_batch = counters_.max_batch.load(std::memory_order_relaxed);
+  ServiceStats s{snapshot(counters_), {}};
   s.shards.reserve(shards_.size());
-  for (const auto& sp : shards_) {
-    ServiceStats::ShardStats sh;
-    sh.submits = sp->submits.load(std::memory_order_relaxed);
-    sh.rejections = sp->rejections.load(std::memory_order_relaxed);
-    sh.max_queue_depth = sp->max_queue_depth.load(std::memory_order_relaxed);
-    s.shards.push_back(sh);
-  }
+  for (const auto& sp : shards_) s.shards.push_back(snapshot(sp->counters));
   return s;
 }
 
@@ -361,7 +334,7 @@ void EvalService::run_batch(std::vector<Request> batch) {
   // the futures and then reads stats() must see this batch counted.
   counters_.batches_formed.fetch_add(1, std::memory_order_relaxed);
   counters_.batched_points.fetch_add(live.size(), std::memory_order_relaxed);
-  update_max(counters_.max_batch, live.size());
+  raise_max(counters_.max_batch, live.size());
   for (std::size_t k = 0; k < live.size(); ++k) {
     counters_.completed.fetch_add(1, std::memory_order_relaxed);
     live[k].promise.set_value({Status::kOk, values[k]});

@@ -6,7 +6,7 @@
 // thread plus one handler thread per connection on top of the EvalService
 // worker pool, so the TSan lane must see the whole stack.
 //
-// Golden fixtures live in tests/net_fixtures/*.bin and freeze the v1 wire
+// Golden fixtures live in tests/net_fixtures/*.bin and freeze the wire
 // layout byte for byte. When the layout changes *intentionally*, bump
 // kVersion and regenerate:
 //   CSG_NET_FIXTURE_REGEN=1 ./tests/test_net --gtest_filter='*Golden*'
@@ -14,15 +14,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "csg/core/evaluate.hpp"
@@ -140,6 +144,86 @@ bool eventually(Pred pred) {
   return pred();
 }
 
+/// Every counter of every block set to a distinct value 1, 2, 3, ... in
+/// visitor order: the service block, the net block, then each shard.
+WireStats numbered_stats(std::size_t shards) {
+  WireStats s;
+  s.service.shards.resize(shards);
+  std::uint64_t next = 1;
+  const auto number = [&next](const char*, std::uint64_t& v) { v = next++; };
+  serve::ServiceStats::fields(number, s.service);
+  NetServerStats::fields(number, s.net);
+  for (serve::ServiceStats::ShardStats& sh : s.service.shards)
+    serve::ServiceStats::ShardStats::fields(number, sh);
+  return s;
+}
+
+template <typename Block>
+void expect_same_block(const Block& want, const Block& got, const char* what) {
+  Block::fields(
+      [what](const char* name, std::uint64_t w, std::uint64_t g) {
+        EXPECT_EQ(g, w) << what << "." << name;
+      },
+      want, got);
+}
+
+void expect_same_stats(const WireStats& want, const WireStats& got) {
+  expect_same_block(want.service, got.service, "service");
+  expect_same_block(want.net, got.net, "net");
+  ASSERT_EQ(got.service.shards.size(), want.service.shards.size());
+  for (std::size_t k = 0; k < want.service.shards.size(); ++k)
+    expect_same_block(want.service.shards[k], got.service.shards[k], "shard");
+}
+
+template <typename Block>
+std::vector<std::string> field_names() {
+  std::vector<std::string> names;
+  Block block{};
+  Block::fields(
+      [&names](const char* name, std::uint64_t&) { names.push_back(name); },
+      block);
+  return names;
+}
+
+/// Hand-rolled stats payload: a block is a u32 pair count followed by
+/// (u32 length, name bytes, u64 value) pairs.
+struct StatsPayload {
+  std::vector<std::uint8_t> bytes;
+
+  template <typename T>
+  void put(T v) {
+    const auto at = bytes.size();
+    bytes.resize(at + sizeof(T));
+    std::memcpy(bytes.data() + at, &v, sizeof(T));
+  }
+
+  void block(
+      std::initializer_list<std::pair<std::string, std::uint64_t>> pairs) {
+    put<std::uint32_t>(static_cast<std::uint32_t>(pairs.size()));
+    for (const auto& [name, value] : pairs) {
+      put<std::uint32_t>(static_cast<std::uint32_t>(name.size()));
+      bytes.insert(bytes.end(), name.begin(), name.end());
+      put<std::uint64_t>(value);
+    }
+  }
+};
+
+/// The quiescence identities of the service counters (test_serve drives
+/// every outcome; here they must also hold after a trip over the wire).
+void expect_reconciled(const serve::ServiceStats& s) {
+  EXPECT_EQ(s.submitted, s.completed + s.rejected + s.timed_out +
+                             s.cancelled + s.not_found + s.invalid);
+  EXPECT_LE(s.shed_at_admission, s.timed_out);
+  std::uint64_t submits = 0, rejections = 0;
+  for (const serve::ServiceStats::ShardStats& sh : s.shards) {
+    submits += sh.submits;
+    rejections += sh.rejections;
+  }
+  EXPECT_EQ(submits,
+            s.submitted - s.not_found - s.invalid - s.shed_at_admission);
+  EXPECT_EQ(rejections, s.rejected);
+}
+
 // --------------------------------------------------------------------------
 // Codec round trips
 // --------------------------------------------------------------------------
@@ -212,31 +296,20 @@ TEST(NetCodec, ListStatsAndErrorRoundTrip) {
   EXPECT_EQ(list_out.grids[0].name, "pressure");
   EXPECT_EQ(list_out.grids[1].memory_bytes, 8456u);
 
-  WireStats stats_in;
-  stats_in.submitted = 1;
-  stats_in.completed = 2;
-  stats_in.shed_at_admission = 8;
-  stats_in.eval_points = 16;
-  stats_in.frames_in_flight_peak = 4;
-  stats_in.pipelined_frames = 21;
-  stats_in.shards = {{100, 5, 17}, {200, 0, 9}};
+  // Every counter of every block, walked by the visitors.
+  const WireStats stats_in = numbered_stats(3);
   const auto stats_frame = encode_stats_response(stats_in);
   WireStats stats_out;
   ASSERT_EQ(decode_stats_response(
-                std::span(stats_frame).subspan(kFrameHeaderBytes), stats_out),
+                std::span(stats_frame).subspan(kFrameHeaderBytes), stats_out,
+                ProtocolLimits{}),
             WireError::kNone);
-  EXPECT_EQ(stats_out.submitted, 1u);
-  EXPECT_EQ(stats_out.completed, 2u);
-  EXPECT_EQ(stats_out.shed_at_admission, 8u);
-  EXPECT_EQ(stats_out.eval_points, 16u);
-  EXPECT_EQ(stats_out.frames_in_flight_peak, 4u);
-  EXPECT_EQ(stats_out.pipelined_frames, 21u);
-  ASSERT_EQ(stats_out.shards.size(), 2u);
-  EXPECT_EQ(stats_out.shards[0].submits, 100u);
-  EXPECT_EQ(stats_out.shards[0].rejections, 5u);
-  EXPECT_EQ(stats_out.shards[0].max_queue_depth, 17u);
-  EXPECT_EQ(stats_out.shards[1].submits, 200u);
-  EXPECT_EQ(stats_out.shards[1].max_queue_depth, 9u);
+  expect_same_stats(stats_in, stats_out);
+  // 11 service + 15 net + 3 per-shard counters, all on the wire.
+  EXPECT_EQ(field_names<serve::ServiceStats>().size(), 11u);
+  EXPECT_EQ(field_names<NetServerStats>().size(), 15u);
+  EXPECT_EQ(field_names<serve::ServiceStats::ShardStats>().size(), 3u);
+  EXPECT_EQ(stats_out.service.shards.back().max_queue_depth, 11u + 15u + 9u);
 
   ErrorFrame err_in;
   err_in.id = 9;
@@ -253,72 +326,78 @@ TEST(NetCodec, ListStatsAndErrorRoundTrip) {
   EXPECT_EQ(err_out.message, "batch exceeds point limit");
 }
 
-TEST(NetCodec, StatsDecoderSkipsFieldsAppendedByNewerPeers) {
-  WireStats in;
-  in.max_batch = 31;
-  in.pipelined_frames = 7;
-  in.shards = {{3, 1, 2}};
-  auto frame = encode_stats_response(in);
-  // Append two future fields and fix up the field count + payload length.
-  const std::uint64_t extra[2] = {111, 222};
-  frame.insert(frame.end(), reinterpret_cast<const std::uint8_t*>(extra),
-               reinterpret_cast<const std::uint8_t*>(extra) + sizeof(extra));
-  std::uint32_t fields = 0;
-  std::memcpy(&fields, frame.data() + kFrameHeaderBytes, sizeof(fields));
-  fields += 2;
-  std::memcpy(frame.data() + kFrameHeaderBytes, &fields, sizeof(fields));
-  const std::uint64_t payload = frame.size() - kFrameHeaderBytes;
-  std::memcpy(frame.data() + kFrameHeaderBytes - sizeof(payload), &payload,
-              sizeof(payload));
-
-  WireStats out;
-  ASSERT_EQ(decode_stats_response(
-                std::span(frame).subspan(kFrameHeaderBytes), out),
-            WireError::kNone);
-  EXPECT_EQ(out.max_batch, 31u);
-  EXPECT_EQ(out.pipelined_frames, 7u);
-  ASSERT_EQ(out.shards.size(), 1u);
-  EXPECT_EQ(out.shards[0].max_queue_depth, 2u);
+TEST(NetCodec, StatsBlocksHaveUniqueFieldNames) {
+  for (const std::vector<std::string>& names :
+       {field_names<serve::ServiceStats>(), field_names<NetServerStats>(),
+        field_names<serve::ServiceStats::ShardStats>()}) {
+    const std::set<std::string> unique(names.begin(), names.end());
+    EXPECT_EQ(unique.size(), names.size());
+  }
 }
 
-TEST(NetCodec, StatsDecoderHandlesLegacyAndBrokenShardSections) {
-  // A v1 frame (exactly 16 fields, no appended section): the decoder must
-  // accept it and leave the appended fields at their defaults.
-  WireStats in;
-  in.submitted = 5;
-  in.shards = {{1, 2, 3}};
-  auto frame = encode_stats_response(in);
-  const std::uint32_t legacy_fields = kStatsFieldCount;
-  std::memcpy(frame.data() + kFrameHeaderBytes, &legacy_fields,
-              sizeof(legacy_fields));
-  frame.resize(kFrameHeaderBytes + sizeof(std::uint32_t) +
-               kStatsFieldCount * sizeof(std::uint64_t));
-  std::uint64_t payload = frame.size() - kFrameHeaderBytes;
-  std::memcpy(frame.data() + kFrameHeaderBytes - sizeof(payload), &payload,
-              sizeof(payload));
-  WireStats out;
-  ASSERT_EQ(decode_stats_response(
-                std::span(frame).subspan(kFrameHeaderBytes), out),
+TEST(NetCodec, StatsDecoderSkipsUnknownNamesAndZeroesMissingOnes) {
+  StatsPayload p;
+  p.block({{"completed", 5},
+           {"counter_of_a_newer_peer", 99},
+           {"submitted", 7}});
+  p.block({});  // net block: every counter missing
+  p.put<std::uint32_t>(1);
+  p.block({{"gauge_of_a_newer_peer", 3}, {"rejections", 2}});
+  WireStats out = numbered_stats(4);  // stale values must not survive
+  ASSERT_EQ(decode_stats_response(p.bytes, out, ProtocolLimits{}),
             WireError::kNone);
-  EXPECT_EQ(out.submitted, 5u);
-  EXPECT_EQ(out.frames_in_flight_peak, 0u);
-  EXPECT_TRUE(out.shards.empty());
+  WireStats want;
+  want.service.completed = 5;
+  want.service.submitted = 7;
+  want.service.shards.resize(1);
+  want.service.shards[0].rejections = 2;
+  expect_same_stats(want, out);
+}
 
-  // A shard count claiming more triples than the declared field count
-  // carries is structurally broken, not a spin or an overread.
-  auto bad = encode_stats_response(in);
-  const std::uint64_t huge = ~std::uint64_t{0};
-  const std::size_t count_at = kFrameHeaderBytes + sizeof(std::uint32_t) +
-                               (kStatsFieldCount + 2) * sizeof(std::uint64_t);
-  std::memcpy(bad.data() + count_at, &huge, sizeof(huge));
-  WireStats bad_out;
-  EXPECT_EQ(decode_stats_response(
-                std::span(bad).subspan(kFrameHeaderBytes), bad_out),
-            WireError::kBadPayload);
+TEST(NetCodec, StatsDecoderRejectsTruncatedOverlongAndOvercountedBlocks) {
+  const ProtocolLimits limits;
+  const auto decode = [&limits](std::span<const std::uint8_t> payload) {
+    WireStats out;
+    return decode_stats_response(payload, out, limits);
+  };
+
+  // Every proper prefix of a valid frame ends inside a count or a pair.
+  const auto frame = encode_stats_response(numbered_stats(2));
+  const auto payload = std::span(frame).subspan(kFrameHeaderBytes);
+  for (std::size_t len = 0; len < payload.size(); ++len)
+    EXPECT_EQ(decode(payload.first(len)), WireError::kBadPayload) << len;
+
+  // A name at the limit is merely unknown; one byte more is malformed.
+  const auto with_name = [&decode](std::uint64_t len) {
+    StatsPayload p;
+    p.block({{std::string(static_cast<std::size_t>(len), 'x'), 1}});
+    p.block({});
+    p.put<std::uint32_t>(0);
+    return decode(p.bytes);
+  };
+  EXPECT_EQ(with_name(limits.max_name_bytes), WireError::kNone);
+  EXPECT_EQ(with_name(limits.max_name_bytes + 1), WireError::kBadPayload);
+
+  // Pair and shard counts the remaining bytes cannot hold fail up front:
+  // no spin over a garbage count, no allocation for one.
+  for (const std::uint32_t count : {1u, 1000u, ~0u}) {
+    StatsPayload pairs;
+    pairs.put<std::uint32_t>(count);
+    pairs.block({});
+    pairs.put<std::uint32_t>(0);
+    EXPECT_EQ(decode(pairs.bytes), WireError::kBadPayload) << count;
+
+    StatsPayload shards;
+    shards.block({});
+    shards.block({});
+    shards.put<std::uint32_t>(count);  // one shard block more than sent
+    for (std::uint32_t k = 1; k < std::min(count, 8u); ++k) shards.block({});
+    EXPECT_EQ(decode(shards.bytes), WireError::kBadPayload) << count;
+  }
 }
 
 // --------------------------------------------------------------------------
-// Golden fixtures: the committed v1 frame bytes
+// Golden fixtures: the committed frame bytes
 // --------------------------------------------------------------------------
 
 struct GoldenFixture {
@@ -342,26 +421,7 @@ std::vector<GoldenFixture> golden_fixtures() {
   list.grids = {{"pressure", 2, 5, 129, 4128},
                 {"temperature", 3, 4, 177, 8456}};
 
-  WireStats stats;
-  stats.submitted = 1;
-  stats.completed = 2;
-  stats.rejected = 3;
-  stats.timed_out = 4;
-  stats.cancelled = 5;
-  stats.not_found = 6;
-  stats.invalid = 7;
-  stats.shed_at_admission = 8;
-  stats.batches_formed = 9;
-  stats.batched_points = 10;
-  stats.max_batch = 11;
-  stats.connections_accepted = 12;
-  stats.frames_decoded = 13;
-  stats.frames_rejected = 14;
-  stats.eval_requests = 15;
-  stats.eval_points = 16;
-  stats.frames_in_flight_peak = 17;
-  stats.pipelined_frames = 18;
-  stats.shards = {{19, 20, 21}, {22, 23, 24}};
+  const WireStats stats = numbered_stats(2);
 
   ErrorFrame err;
   err.id = 9;
@@ -436,8 +496,9 @@ TEST(NetGolden, FixtureFramesDecodeBackToTheirMessages) {
       }
       case MsgType::kStatsResponse: {
         WireStats m;
-        EXPECT_EQ(decode_stats_response(payload, m), WireError::kNone);
-        EXPECT_EQ(m.eval_points, 16u);
+        EXPECT_EQ(decode_stats_response(payload, m, ProtocolLimits{}),
+                  WireError::kNone);
+        expect_same_stats(numbered_stats(2), m);
         break;
       }
       case MsgType::kError: {
@@ -478,10 +539,14 @@ TEST(NetReject, HeaderNamesTheFirstCorruptedField) {
   EXPECT_EQ(decode_header(raw_header(kMagic, kEndianTag, 4, kVersion, 3, 0, 0),
                           h, limits),
             WireError::kBadRealWidth);
-  EXPECT_EQ(decode_header(raw_header(kMagic, kEndianTag, sizeof(real_t), 2, 3,
-                                     0, 0),
-            h, limits),
-            WireError::kBadVersion);
+  // The previous layout and a future one are both unspoken versions.
+  for (const std::uint16_t version : {std::uint16_t{kVersion - 1},
+                                      std::uint16_t{kVersion + 1}})
+    EXPECT_EQ(decode_header(raw_header(kMagic, kEndianTag, sizeof(real_t),
+                                       version, 3, 0, 0),
+                            h, limits),
+              WireError::kBadVersion)
+        << version;
   EXPECT_EQ(decode_header(raw_header(kMagic, kEndianTag, sizeof(real_t),
                                      kVersion, 3, 0xAB, 0),
             h, limits),
@@ -579,7 +644,7 @@ TEST(NetReject, PropertyRandomBytesNeverCrashTheDecoders) {
         ListResponse list;
         (void)decode_list_response(bytes, list, limits);
         WireStats stats;
-        (void)decode_stats_response(bytes, stats);
+        (void)decode_stats_response(bytes, stats, limits);
         ErrorFrame err;
         (void)decode_error(bytes, err, limits);
         return "";
@@ -673,12 +738,12 @@ TEST(NetE2E, ListAndStatsTravelOverTheWire) {
   EXPECT_EQ(list.grids[1].name, "g1");
 
   const WireStats stats = client.fetch_stats();
-  EXPECT_EQ(stats.eval_requests, 1u);
-  EXPECT_EQ(stats.eval_points, 5u);
-  EXPECT_EQ(stats.completed, 5u);
-  EXPECT_EQ(stats.connections_accepted, 1u);
+  EXPECT_EQ(stats.net.eval_requests, 1u);
+  EXPECT_EQ(stats.net.eval_points, 5u);
+  EXPECT_EQ(stats.service.completed, 5u);
+  EXPECT_EQ(stats.net.connections_accepted, 1u);
   // The stats request itself was decoded before the snapshot was taken.
-  EXPECT_GE(stats.frames_decoded, 2u);
+  EXPECT_GE(stats.net.frames_decoded, 2u);
 }
 
 TEST(NetE2E, SemanticFailuresTravelAsPerPointStatuses) {
@@ -1151,6 +1216,13 @@ TEST(NetSoak, MultiClientMixedTrafficThenDrainShutdown) {
   EXPECT_EQ(sv.shed_at_admission, total / 3 * 4);
   EXPECT_EQ(sv.timed_out, total / 3 * 4);
   EXPECT_EQ(sv.completed, total / 3 * 4);
+
+  // The same ledger fetched over the wire at quiescence reconciles, and
+  // every decoded eval point reached the service exactly once.
+  const WireStats ws = stack.client().fetch_stats();
+  expect_reconciled(ws.service);
+  EXPECT_EQ(ws.service.submitted, ws.net.eval_points);
+  EXPECT_EQ(ws.service.completed, sv.completed);
 
   // Drain shutdown under live traffic: one more client hammers the server
   // while stop() lands. Every response that arrives must still be complete

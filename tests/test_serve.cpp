@@ -1,7 +1,8 @@
 // csg::serve — multi-grid registry + asynchronous batched evaluation
 // service: correctness (results bit-identical to evaluate()), batching
 // accounting, backpressure (reject and block), deadlines, graceful
-// shutdown, and the bounded plan cache under a many-shape serving load.
+// shutdown, counter reconciliation across every outcome, and the bounded
+// plan cache under a many-shape serving load.
 //
 // Registered under the `parallel` ctest label: the service is the
 // project's most concurrent component (producers, worker pool, OpenMP
@@ -505,6 +506,113 @@ TEST(EvalService, HardStopCancelsQueuedRequests) {
 
   for (auto& f : futures) EXPECT_EQ(f.get().status, Status::kCancelled);
   EXPECT_EQ(service.stats().cancelled, 25u);
+}
+
+/// The quiescence identities: every submit ends in exactly one outcome
+/// counter, admission sheds are a subset of the timeouts, and the shard
+/// counters partition the traffic that got past admission.
+void expect_reconciled(const ServiceStats& s) {
+  EXPECT_EQ(s.submitted, s.completed + s.rejected + s.timed_out +
+                             s.cancelled + s.not_found + s.invalid);
+  EXPECT_LE(s.shed_at_admission, s.timed_out);
+  std::uint64_t submits = 0, rejections = 0;
+  for (const ServiceStats::ShardStats& sh : s.shards) {
+    submits += sh.submits;
+    rejections += sh.rejections;
+  }
+  EXPECT_EQ(submits,
+            s.submitted - s.not_found - s.invalid - s.shed_at_admission);
+  EXPECT_EQ(rejections, s.rejected);
+}
+
+TEST(EvalService, CountersReconcileAcrossEveryOutcome) {
+  GridRegistry reg;
+  reg.add("a", make_grid(2, 3));
+  const auto pt = CoordVector{0.25, 0.75};
+  const auto statuses = [](std::vector<std::future<EvalResult>>& fs) {
+    std::vector<Status> out;
+    for (auto& f : fs) out.push_back(f.get().status);
+    return out;
+  };
+
+  // Paused, rejecting, two shards: grid "a" fills its shard's queue while
+  // grid `b` lands on the other shard.
+  ServiceOptions opts;
+  opts.start_paused = true;
+  opts.shard_count = 2;
+  opts.queue_capacity = 6;
+  {
+    EvalService service(reg, opts);
+    std::string b = "b";
+    while (service.shard_of(b) == service.shard_of("a")) b += 'b';
+    reg.add(b, make_grid(2, 3));
+
+    const auto now = EvalService::Clock::now();
+    std::vector<std::future<EvalResult>> not_found, invalid, shed, expiring,
+        ok, full, post_stop;
+    not_found.push_back(service.submit("missing", pt));
+    for (int k = 0; k < 2; ++k)
+      invalid.push_back(service.submit("a", CoordVector{0.5, 1.5}));
+    for (int k = 0; k < 3; ++k)
+      shed.push_back(
+          service.submit("a", pt, now - std::chrono::milliseconds(1)));
+    for (int k = 0; k < 2; ++k)  // queued, then expire before a batch forms
+      expiring.push_back(service.submit(
+          "a", pt, EvalService::Clock::now() + std::chrono::milliseconds(100)));
+    for (int k = 0; k < 4; ++k) ok.push_back(service.submit("a", pt));
+    for (int k = 0; k < 2; ++k) full.push_back(service.submit("a", pt));
+    for (int k = 0; k < 3; ++k) ok.push_back(service.submit(b, pt));
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    service.start();
+
+    EXPECT_EQ(statuses(not_found), std::vector<Status>(1, Status::kNotFound));
+    EXPECT_EQ(statuses(invalid), std::vector<Status>(2, Status::kInvalid));
+    EXPECT_EQ(statuses(shed), std::vector<Status>(3, Status::kTimeout));
+    EXPECT_EQ(statuses(expiring), std::vector<Status>(2, Status::kTimeout));
+    EXPECT_EQ(statuses(ok), std::vector<Status>(7, Status::kOk));
+    EXPECT_EQ(statuses(full), std::vector<Status>(2, Status::kRejected));
+    service.stop(true);
+    post_stop.push_back(service.submit("a", pt));
+    post_stop.push_back(service.submit(b, pt));
+    EXPECT_EQ(statuses(post_stop), std::vector<Status>(2, Status::kRejected));
+
+    const ServiceStats st = service.stats();
+    expect_reconciled(st);
+    EXPECT_EQ(st.submitted, 19u);
+    EXPECT_EQ(st.completed, 7u);
+    EXPECT_EQ(st.rejected, 4u);
+    EXPECT_EQ(st.timed_out, 5u);
+    EXPECT_EQ(st.shed_at_admission, 3u);
+    EXPECT_EQ(st.not_found, 1u);
+    EXPECT_EQ(st.invalid, 2u);
+    EXPECT_EQ(st.cancelled, 0u);
+    EXPECT_EQ(st.shards[service.shard_of("a")].rejections, 3u);
+    EXPECT_EQ(st.shards[service.shard_of(b)].rejections, 1u);
+  }
+
+  // Paused, blocking: a producer times out waiting for space, a hard stop
+  // cancels the queue, and the stopped service rejects.
+  opts.shard_count = 1;
+  opts.queue_capacity = 2;
+  opts.overflow = OverflowPolicy::kBlock;
+  EvalService service(reg, opts);
+  std::vector<std::future<EvalResult>> queued, blocked, post_stop;
+  for (int k = 0; k < 2; ++k) queued.push_back(service.submit("a", pt));
+  blocked.push_back(service.submit(
+      "a", pt, EvalService::Clock::now() + std::chrono::milliseconds(20)));
+  service.stop(/*drain=*/false);
+  post_stop.push_back(service.submit("a", pt));
+  EXPECT_EQ(statuses(queued), std::vector<Status>(2, Status::kCancelled));
+  EXPECT_EQ(statuses(blocked), std::vector<Status>(1, Status::kTimeout));
+  EXPECT_EQ(statuses(post_stop), std::vector<Status>(1, Status::kRejected));
+
+  const ServiceStats st = service.stats();
+  expect_reconciled(st);
+  EXPECT_EQ(st.submitted, 4u);
+  EXPECT_EQ(st.cancelled, 2u);
+  EXPECT_EQ(st.timed_out, 1u);
+  EXPECT_EQ(st.shed_at_admission, 0u);
+  EXPECT_EQ(st.rejected, 1u);
 }
 
 // The acceptance stress: many (d, n) shapes served concurrently while the

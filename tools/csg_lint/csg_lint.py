@@ -47,6 +47,10 @@ Rules (catalog and suppression policy in docs/STATIC_ANALYSIS.md):
   exact-pow2             no ldexp in src/core or src/combination: scale by
                          x * exact_pow2(e), bit-identical to ldexp (both
                          are correctly rounded) without the library call
+  one-counter-list       no std::atomic<std::uint64_t> (or LiveCounter)
+                         declarations in src/serve or src/net: a counter
+                         belongs in a counter block, declared once for the
+                         live atomics, the snapshot and the stats frame
 
 Findings are suppressed per site, never blanket:
   code();  // csg-lint: allow(rule-name) -- reason
@@ -636,6 +640,38 @@ class ExactPow2Rule(Rule):
         ]
 
 
+class OneCounterListRule(Rule):
+    name = "one-counter-list"
+    description = (
+        "no std::atomic<std::uint64_t> declarations in src/serve or src/net: "
+        "counters live in a counter block (csg/serve/counters.hpp)"
+    )
+
+    # A declaration whose type is the 64-bit atomic counter, spelled out or
+    # through the LiveCounter alias: the declared name is followed by an
+    # initializer or the end of the declaration. References, pointers and
+    # template arguments (`Block<LiveCounter>`) do not match.
+    COUNTER_DECL = re.compile(
+        r"(?:\bstd\s*::\s*atomic\s*<\s*(?:std\s*::\s*)?uint64_t\s*>"
+        r"|\bstd\s*::\s*atomic_uint64_t\b|\bLiveCounter\b)"
+        r"\s+(\w+)\s*[;{=]"
+    )
+
+    def applies(self, relpath):
+        p = relpath.replace(os.sep, "/")
+        return p.startswith("src/serve/") or p.startswith("src/net/")
+
+    def run(self, src):
+        return [
+            Finding(self.name, src.relpath, src.line_of_offset(m.start()),
+                    f"`{m.group(1)}` is a bare atomic counter: declare it in "
+                    "a counter block (ServiceCounters, ShardCounters, "
+                    "NetCounters) so its snapshot and wire field derive from "
+                    "the one field list")
+            for m in self.COUNTER_DECL.finditer(src.masked)
+        ]
+
+
 class HeaderSelfContainedRule(Rule):
     """Compiles every public header standalone; not a per-file text rule."""
 
@@ -699,7 +735,7 @@ def text_rules(_args):
     return [ShiftWidthRule(), ImplicitNarrowingRule(), RawAllocRule(),
             OmpLoopCounterRule(), PragmaOnceRule(), BenchSeedRule(),
             MutexGuardAnnotationsRule(), SimdScalarParityRule(),
-            ExactPow2Rule()]
+            ExactPow2Rule(), OneCounterListRule()]
 
 
 def collect_sources(root):
@@ -785,6 +821,7 @@ FIXTURES = {
     "mutex-guard-annotations": "bad_mutex_guard.cpp",
     "simd-scalar-parity": "bad_simd_scalar_parity.cpp",
     "exact-pow2": "bad_ldexp.cpp",
+    "one-counter-list": "bad_counter_member.cpp",
 }
 
 

@@ -606,6 +606,45 @@ void register_grids(serve::GridRegistry& registry, int grids, dim_t d,
   }
 }
 
+/// One report line per counter block, every counter under its declared name.
+template <typename Block>
+void print_counters(const std::string& label, const Block& block) {
+  std::printf("  %-10s", label.c_str());
+  const char* sep = " ";
+  Block::fields(
+      [&sep](const char* name, std::uint64_t value) {
+        std::printf("%s%s=%llu", sep, name,
+                    static_cast<unsigned long long>(value));
+        sep = ", ";
+      },
+      block);
+  std::printf("\n");
+}
+
+/// The first counter identity a quiescent stats frame breaks, or nullptr
+/// when every identity holds (docs/SERVING.md "Observability").
+const char* unreconciled(const net::WireStats& ws) {
+  const serve::ServiceStats& s = ws.service;
+  std::uint64_t submits = 0, rejections = 0;
+  for (const serve::ServiceStats::ShardStats& sh : s.shards) {
+    submits += sh.submits;
+    rejections += sh.rejections;
+  }
+  if (s.submitted != s.completed + s.rejected + s.timed_out + s.cancelled +
+                         s.not_found + s.invalid)
+    return "submitted != completed + rejected + timed_out + cancelled + "
+           "not_found + invalid";
+  if (s.shed_at_admission > s.timed_out)
+    return "shed_at_admission > timed_out";
+  if (submits + s.not_found + s.invalid + s.shed_at_admission != s.submitted)
+    return "sum(shards.submits) != submitted - not_found - invalid - "
+           "shed_at_admission";
+  if (rejections != s.rejected) return "sum(shards.rejections) != rejected";
+  if (ws.net.eval_points != s.submitted)
+    return "net eval_points != service submitted";
+  return nullptr;
+}
+
 // TCP server over the wire protocol (docs/SERVING.md "Wire protocol"):
 // binds 127.0.0.1:--port (0 = ephemeral, printed), serves G grids until
 // the connection traffic has been idle for --idle-exit-ms (0 = forever).
@@ -680,14 +719,8 @@ int cmd_net_serve(int argc, char** argv) {
   }
   server.stop();
   service.stop();
-  const auto st = server.stats();
-  std::printf("net-serve: idle for %ld ms, drained. %llu connection(s), "
-              "%llu frame(s) decoded, %llu rejected, %llu eval point(s)\n",
-              idle_exit_ms,
-              static_cast<unsigned long long>(st.connections_accepted),
-              static_cast<unsigned long long>(st.frames_decoded),
-              static_cast<unsigned long long>(st.frames_rejected),
-              static_cast<unsigned long long>(st.eval_points));
+  std::printf("net-serve: idle for %ld ms, drained.\n", idle_exit_ms);
+  print_counters("net", server.stats());
   return 0;
 }
 
@@ -695,7 +728,8 @@ int cmd_net_serve(int argc, char** argv) {
 // the server in-process (loopback transport by default, real TCP on an
 // ephemeral port with --transport tcp), C client connections each issuing
 // its share of R batched requests of K points, then fetches the grid list
-// and stats over the wire. Exits non-zero unless every point completed.
+// and stats over the wire. Exits non-zero unless every point completed and
+// the fetched counters reconcile.
 int cmd_net_bench(int argc, char** argv) {
   const std::string transport =
       flag_value(argc, argv, "--transport", "loopback");
@@ -810,19 +844,15 @@ int cmd_net_bench(int argc, char** argv) {
           .count();
 
   // Observability round trip before shutdown: list + stats over the wire.
-  std::uint64_t wire_frames = 0, wire_rejected = 0;
-  std::uint64_t wire_pipelined = 0, wire_peak = 0;
+  // Every client has collected its responses, so the counters are quiescent.
   std::size_t listed = 0;
+  net::WireStats ws;
   try {
     net::NetClient probe(transport == "tcp"
                              ? net::tcp_connect("127.0.0.1", tcp->port())
                              : loopback.connect());
     listed = probe.list_grids().grids.size();
-    const auto ws = probe.fetch_stats();
-    wire_frames = ws.frames_decoded;
-    wire_rejected = ws.frames_rejected;
-    wire_pipelined = ws.pipelined_frames;
-    wire_peak = ws.frames_in_flight_peak;
+    ws = probe.fetch_stats();
   } catch (const std::exception&) {
     transport_errors.fetch_add(1);
   }
@@ -848,22 +878,23 @@ int cmd_net_bench(int argc, char** argv) {
   std::printf("  latency    p50 %.0f us, p95 %.0f us, p99 %.0f us, "
               "max %.0f us per batch\n",
               pct(0.50), pct(0.95), pct(0.99), all.empty() ? 0.0 : all.back());
-  std::printf("  wire       %llu frame(s) decoded, %llu rejected, %zu "
-              "grid(s) listed\n",
-              static_cast<unsigned long long>(wire_frames),
-              static_cast<unsigned long long>(wire_rejected), listed);
-  std::printf("  pipeline   %llu frame(s) overlapped, peak %llu in flight\n",
-              static_cast<unsigned long long>(wire_pipelined),
-              static_cast<unsigned long long>(wire_peak));
+  std::printf("  wire       %zu grid(s) listed, stats fetched:\n", listed);
+  print_counters("service", ws.service);
+  for (std::size_t k = 0; k < ws.service.shards.size(); ++k)
+    print_counters("shard " + std::to_string(k), ws.service.shards[k]);
+  print_counters("net", ws.net);
   std::printf("  outcomes   %llu ok, %llu failed point(s), %llu transport "
               "error(s)\n",
               static_cast<unsigned long long>(ok_points.load()),
               static_cast<unsigned long long>(failed_points.load()),
               static_cast<unsigned long long>(transport_errors.load()));
+  const char* broken = unreconciled(ws);
+  if (broken != nullptr)
+    std::printf("  stats do not reconcile: %s\n", broken);
   // Without deadlines every point must evaluate; with them, timeouts are
-  // legitimate but transport failures never are.
+  // legitimate but transport failures and unreconciled counters never are.
   const bool ok =
-      transport_errors.load() == 0 &&
+      transport_errors.load() == 0 && broken == nullptr &&
       (deadline_ms > 0 ||
        ok_points.load() == static_cast<std::uint64_t>(requests) *
                                static_cast<std::uint64_t>(points));
