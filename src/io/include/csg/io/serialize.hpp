@@ -1,7 +1,8 @@
 // Binary serialization — the "Storage" box in the paper's Fig. 1 pipeline.
 //
-// Three grid flavours share the header discipline (magic, shape, count,
-// raw payload) but differ in what identifies the point set:
+// Four formats share one codec (docs/FORMATS.md): magic, byte-order and
+// real-width prelude, (d, n, count) header, bulk payload, and loaders that
+// reject NaN/inf values. They differ in what identifies the point set:
 //  * CompactStorage   "CSG1": (d, n) fully determines the layout, so the
 //    payload is just N coefficients in gp2idx order — no keys on disk,
 //    the same minimal footprint as in memory.
@@ -26,7 +27,8 @@ namespace csg::io {
 void save(const CompactStorage& storage, std::ostream& out);
 
 /// Deserialize from a stream. Throws std::runtime_error on malformed input
-/// (bad magic, inconsistent point count, truncated payload).
+/// (bad magic, inconsistent point count, truncated payload, a NaN or
+/// infinite coefficient).
 CompactStorage load(std::istream& in);
 
 /// File-path convenience wrappers.

@@ -4,7 +4,8 @@
 // Point queries arrive one at a time (submit() returns a future); workers
 // coalesce queued queries *per grid* into batches and run each batch
 // through the plan-based blocked evaluation (Sec. 4.3 blocking,
-// parallel::omp_evaluate_many_blocked on the entry's pinned plan).
+// evaluate_many_blocked on the entry's pinned plan, 64-point blocks) on
+// the worker's own thread.
 //
 // The service is sharded by grid: shard_hash(name) % shard_count picks a
 // shard, and every shard owns its own bounded queue, worker set, batch
@@ -93,10 +94,6 @@ struct ServiceOptions {
   std::chrono::microseconds batch_window{200};
   /// Worker threads forming and running batches, per shard.
   int workers = 2;
-  /// OpenMP threads inside one batch evaluation (omp_evaluate_many_blocked).
-  int eval_threads = 1;
-  /// Point block size of the Sec. 4.3 blocked kernel.
-  std::size_t block_size = 64;
   OverflowPolicy overflow = OverflowPolicy::kReject;
   /// Applied when submit() is called without an explicit deadline;
   /// zero means "no deadline".

@@ -4,7 +4,7 @@
 #include <span>
 #include <utility>
 
-#include "csg/parallel/omp_algorithms.hpp"
+#include "csg/core/evaluate.hpp"
 
 namespace csg::serve {
 
@@ -59,8 +59,6 @@ EvalService::EvalService(const GridRegistry& registry, ServiceOptions opts)
   CSG_EXPECTS(opts_.queue_capacity >= 1);
   CSG_EXPECTS(opts_.max_batch_points >= 1);
   CSG_EXPECTS(opts_.workers >= 1);
-  CSG_EXPECTS(opts_.eval_threads >= 1);
-  CSG_EXPECTS(opts_.block_size >= 1);
   const std::size_t count =
       opts_.shard_count > 0 ? opts_.shard_count : default_shard_count();
   shards_.reserve(count);
@@ -322,13 +320,13 @@ void EvalService::run_batch(std::vector<Request> batch) {
 
   const std::span<const real_t> coeffs(entry.storage.data(),
                                        entry.storage.values().size());
-  // The coalesced batch runs through the SoA batch kernel (DESIGN.md §14):
-  // each evaluating thread transposes its blocks into a thread-local
+  // The coalesced batch runs through the SoA batch kernel (DESIGN.md §14)
+  // on this worker's thread: it transposes its blocks into a thread-local
   // PointBlock arena that outlives the batch, so steady-state serving does
   // zero per-batch point-layout allocation (bench_serve pins this with
   // PointBlock::allocation_count()).
-  const std::vector<real_t> values = parallel::omp_evaluate_many_blocked(
-      *entry.plan, coeffs, points, opts_.block_size, opts_.eval_threads);
+  const std::vector<real_t> values =
+      evaluate_many_blocked(*entry.plan, coeffs, points);
 
   // Account the batch before fulfilling any promise: a caller that joins
   // the futures and then reads stats() must see this batch counted.

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "csg/adaptive/adaptive_grid.hpp"
 #include "csg/core/evaluate.hpp"
@@ -291,6 +297,139 @@ TEST(SerializeAdaptive, CorruptPointRejected) {
   bytes[28 + 4] = 2;
   std::stringstream corrupted(bytes);
   EXPECT_THROW(load_adaptive(corrupted), std::runtime_error);
+}
+
+// Golden files written before the four loaders were folded into one codec:
+// each must load and re-save to the identical bytes, which pins the on-disk
+// layout of every format.
+std::string read_bytes(const std::string& name) {
+  std::ifstream in(std::string(CSG_IO_FIXTURE_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in) << "missing fixture " << name;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+template <class Load>
+std::string resave(const std::string& golden, Load load) {
+  std::stringstream in(golden);
+  std::stringstream out;
+  save(load(in), out);
+  return out.str();
+}
+
+template <class Load>
+void expect_resaves_identically(const std::string& name, Load load) {
+  const std::string golden = read_bytes(name);
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(resave(golden, load), golden) << name;
+}
+
+TEST(SerializeGolden, DenseAndTruncatedResaveByteIdentically) {
+  expect_resaves_identically("compact_d2_n3.csg", load);
+  expect_resaves_identically("truncated_d3_n3.csgt", load_truncated);
+  expect_resaves_identically("boundary_d2_n2.csb", load_boundary);
+}
+
+TEST(SerializeGolden, AdaptiveResavesTheSameRecords) {
+  // CSA1 writes records in the grid's node iteration order, which a reload
+  // need not reproduce: the header must match byte for byte and the
+  // 40-byte (2 x (u32 level, u64 index), nodal, surplus) records as a set.
+  const std::string golden = read_bytes("adaptive_d2_n2.csa");
+  const std::string bytes = resave(golden, load_adaptive);
+  ASSERT_EQ(bytes.size(), golden.size());
+  EXPECT_EQ(bytes.substr(0, 28), golden.substr(0, 28));
+  auto records = [](const std::string& b) {
+    std::vector<std::string> out;
+    for (std::size_t at = 28; at < b.size(); at += 40)
+      out.push_back(b.substr(at, 40));
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(records(bytes), records(golden));
+}
+
+TEST(SerializeGolden, CompactFixtureMatchesSerializedBytes) {
+  const std::string golden = read_bytes("compact_d2_n3.csg");
+  std::stringstream in(golden);
+  EXPECT_EQ(serialized_bytes(load(in)), golden.size());
+}
+
+// Every loader refuses NaN/inf payload values with an error naming the
+// loader and the index of the first bad value.
+std::string with_real_at(std::string bytes, std::size_t offset, real_t v) {
+  std::memcpy(bytes.data() + offset, &v, sizeof(v));
+  return bytes;
+}
+
+template <class Load>
+void expect_non_finite(const std::string& bytes, Load load,
+                       const std::string& loader, std::size_t index) {
+  std::stringstream in(bytes);
+  try {
+    load(in);
+    FAIL() << loader << " accepted a non-finite value";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind(loader + ": non-finite value", 0), 0u) << what;
+    EXPECT_NE(what.find("at index " + std::to_string(index)),
+              std::string::npos)
+        << what;
+  }
+}
+
+constexpr real_t kNaN = std::numeric_limits<real_t>::quiet_NaN();
+constexpr real_t kInf = std::numeric_limits<real_t>::infinity();
+
+TEST(SerializeNonFinite, CompactCoefficientRejected) {
+  std::stringstream buffer;
+  save(make_storage(), buffer);
+  expect_non_finite(with_real_at(buffer.str(), 28 + 8 * 5, kNaN), load,
+                    "csg::io::load", 5);
+}
+
+TEST(SerializeNonFinite, TruncatedValueRejected) {
+  const TruncatedStorage t(make_storage(), 1e-4);
+  ASSERT_GT(t.kept_count(), 3u);
+  std::stringstream buffer;
+  save(t, buffer);
+  // Header 36 bytes, then kept indices, then kept values.
+  const std::size_t values_at = 36 + 8 * t.kept_count();
+  expect_non_finite(with_real_at(buffer.str(), values_at + 8 * 3, kInf),
+                    load_truncated, "csg::io::load_truncated", 3);
+}
+
+TEST(SerializeNonFinite, TruncatedErrorBoundRejected) {
+  std::stringstream buffer;
+  save(TruncatedStorage(make_storage(), 1e-4), buffer);
+  for (const real_t bound : {kNaN, kInf}) {
+    std::stringstream in(with_real_at(buffer.str(), 28, bound));
+    EXPECT_THROW(load_truncated(in), std::runtime_error);
+  }
+}
+
+TEST(SerializeNonFinite, BoundaryValueRejected) {
+  BoundaryStorage b(2, 3);
+  b.sample(workloads::boundary_polynomial(2).f);
+  std::stringstream buffer;
+  save(b, buffer);
+  expect_non_finite(with_real_at(buffer.str(), 28 + 8 * 7, -kInf),
+                    load_boundary, "csg::io::load_boundary", 7);
+}
+
+TEST(SerializeNonFinite, AdaptiveNodalAndSurplusRejected) {
+  adaptive::AdaptiveSparseGrid g(2, 2);
+  g.sample(workloads::gaussian_bump(2).f);
+  g.hierarchize();
+  std::stringstream buffer;
+  save(g, buffer);
+  // Records of (2 x u32 level + u64 index, nodal, surplus) = 40 bytes after
+  // the 28-byte header; record k's values are indices 2k and 2k + 1.
+  const std::size_t record = 2 * (4 + 8) + 2 * 8;
+  const std::size_t nodal1 = 28 + record + 2 * (4 + 8);
+  expect_non_finite(with_real_at(buffer.str(), nodal1, kNaN), load_adaptive,
+                    "csg::io::load_adaptive", 2);
+  expect_non_finite(with_real_at(buffer.str(), nodal1 + 8, kInf),
+                    load_adaptive, "csg::io::load_adaptive", 3);
 }
 
 TEST(Serialize, EmptyGridSerializes) {

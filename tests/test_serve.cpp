@@ -648,7 +648,6 @@ TEST(ServeStress, ManyShapesUnderLoadKeepPlanCacheBounded) {
 
   ServiceOptions opts;
   opts.workers = 3;
-  opts.eval_threads = 2;
   opts.queue_capacity = 4096;
   opts.max_batch_points = 24;
   opts.batch_window = std::chrono::microseconds(50);

@@ -133,6 +133,12 @@ expect 1 "csgtool:" info /nonexistent/no.csg
 expect 1 "csgtool:" eval /nonexistent/no.csg 0.5 0.5 0.5
 printf 'CSGX' > "$WORK/bad.csg"
 expect 1 "csgtool:" info "$WORK/bad.csg"
+# One NaN coefficient (little-endian quiet NaN over the second payload
+# double, past the 28-byte header) is refused at load.
+cp "$WORK/g.csg" "$WORK/nan.csg"
+printf '\000\000\000\000\000\000\370\177' |
+    dd of="$WORK/nan.csg" bs=1 seek=36 conv=notrunc 2>/dev/null
+expect 1 "non-finite" info "$WORK/nan.csg"
 
 if [ "$FAILURES" -ne 0 ]; then
     echo "cli_error_tests: $FAILURES failure(s)" >&2

@@ -51,6 +51,10 @@ Rules (catalog and suppression policy in docs/STATIC_ANALYSIS.md):
                          declarations in src/serve or src/net: a counter
                          belongs in a counter block, declared once for the
                          live atomics, the snapshot and the stats frame
+  one-io-codec           in src/io, no std::ifstream/std::ofstream
+                         construction and no use of the header's endian tag
+                         outside the allow()-tagged path helpers and header
+                         pair: every on-disk format goes through one codec
 
 Findings are suppressed per site, never blanket:
   code();  // csg-lint: allow(rule-name) -- reason
@@ -672,6 +676,46 @@ class OneCounterListRule(Rule):
         ]
 
 
+class OneIoCodecRule(Rule):
+    name = "one-io-codec"
+    description = (
+        "no std::ifstream/std::ofstream construction and no endian-tag use "
+        "in src/io outside the tagged path helpers and header reader/writer"
+    )
+
+    # A file stream constructed by name (`std::ifstream in(path)`,
+    # `std::ofstream out;`) or as a temporary (`std::ifstream(path)`).
+    # References and template arguments (`std::ifstream&`) do not match.
+    STREAM = re.compile(
+        r"\bstd\s*::\s*(?:basic_)?[io]?fstream\b(?:\s*<[^>]*>)?"
+        r"\s*(?:\w+\s*)?[({;]")
+    # The prelude's byte-order sentinel, by name or by value. Its one
+    # definition (`kEndianTag = 0x01020304u`) is not a use.
+    ENDIAN = re.compile(r"\bkEndianTag\b|\b0[xX]0*1020304[uUlL]*\b")
+    ENDIAN_DEF = re.compile(r"\bkEndianTag\s*=(?!=)")
+
+    def applies(self, relpath):
+        return relpath.replace(os.sep, "/").startswith("src/io/")
+
+    def run(self, src):
+        findings = []
+        for m in self.STREAM.finditer(src.masked):
+            findings.append(Finding(
+                self.name, src.relpath, src.line_of_offset(m.start()),
+                "file stream opened outside the codec's path helpers: "
+                "route the format through save_path/load_path so every "
+                "format shares one open, one error text and one header"))
+        for m in self.ENDIAN.finditer(src.masked):
+            line = src.line_of_offset(m.start())
+            if self.ENDIAN_DEF.search(src.masked_lines[line - 1]):
+                continue
+            findings.append(Finding(
+                self.name, src.relpath, line,
+                "endian tag used outside write_header/read_header: a "
+                "hand-copied header prelude is a fifth loader in the making"))
+        return findings
+
+
 class HeaderSelfContainedRule(Rule):
     """Compiles every public header standalone; not a per-file text rule."""
 
@@ -735,7 +779,7 @@ def text_rules(_args):
     return [ShiftWidthRule(), ImplicitNarrowingRule(), RawAllocRule(),
             OmpLoopCounterRule(), PragmaOnceRule(), BenchSeedRule(),
             MutexGuardAnnotationsRule(), SimdScalarParityRule(),
-            ExactPow2Rule(), OneCounterListRule()]
+            ExactPow2Rule(), OneCounterListRule(), OneIoCodecRule()]
 
 
 def collect_sources(root):
@@ -822,6 +866,7 @@ FIXTURES = {
     "simd-scalar-parity": "bad_simd_scalar_parity.cpp",
     "exact-pow2": "bad_ldexp.cpp",
     "one-counter-list": "bad_counter_member.cpp",
+    "one-io-codec": "bad_io_loader.cpp",
 }
 
 

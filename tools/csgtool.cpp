@@ -24,6 +24,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -470,6 +471,57 @@ int cmd_selfcheck(int argc, char** argv) {
   return out_of_time ? 3 : 0;
 }
 
+/// Shared grid setup of the serving commands: G hierarchized grids named
+/// g0..g{G-1}, all of the same (d, n) shape.
+void register_grids(serve::GridRegistry& registry, int grids, dim_t d,
+                    level_t n) {
+  for (int g = 0; g < grids; ++g) {
+    CompactStorage s(d, n);
+    s.sample(workloads::simulation_field(d).f);
+    hierarchize(s);
+    registry.add(grid_name(g), std::move(s));
+  }
+}
+
+/// The flags every serving command shares (--workers, --queue, --batch,
+/// --shards) with that command's --queue default; nullopt when one is out
+/// of range.
+std::optional<serve::ServiceOptions> service_flags(int argc, char** argv,
+                                                   const char* queue) {
+  serve::ServiceOptions opts;
+  opts.workers = std::atoi(flag_value(argc, argv, "--workers", "2"));
+  opts.queue_capacity = static_cast<std::size_t>(
+      std::atoll(flag_value(argc, argv, "--queue", queue)));
+  opts.max_batch_points = static_cast<std::size_t>(
+      std::atoll(flag_value(argc, argv, "--batch", "64")));
+  const long shards = std::atol(flag_value(argc, argv, "--shards", "0"));
+  opts.shard_count = static_cast<std::size_t>(shards);
+  if (opts.workers < 1 || opts.queue_capacity < 1 ||
+      opts.max_batch_points < 1 || shards < 0)
+    return std::nullopt;
+  return opts;
+}
+
+/// The latency report line of the load generators: p50/p95/p99/max over
+/// every thread's samples (0 for an empty run).
+void print_latency(const std::vector<std::vector<double>>& lat_us,
+                   const char* suffix) {
+  std::vector<double> all;
+  for (const auto& lat : lat_us) all.insert(all.end(), lat.begin(), lat.end());
+  std::sort(all.begin(), all.end());
+  const auto pct = [&](double q) {
+    return all.empty()
+               ? 0.0
+               : all[std::min(all.size() - 1,
+                              static_cast<std::size_t>(
+                                  q * static_cast<double>(all.size())))];
+  };
+  std::printf("  latency    p50 %.0f us, p95 %.0f us, p99 %.0f us, "
+              "max %.0f us%s\n",
+              pct(0.50), pct(0.95), pct(0.99), all.empty() ? 0.0 : all.back(),
+              suffix);
+}
+
 // Closed-loop load generator over an in-process EvalService: G grids of the
 // same shape, P producer threads each submitting its share of R requests and
 // waiting for every future before issuing the next (so the offered load is
@@ -485,39 +537,22 @@ int cmd_serve_bench(int argc, char** argv) {
   const auto seed = static_cast<std::uint32_t>(
       std::atoi(flag_value(argc, argv, "--seed", "29")));
   const std::string policy = flag_value(argc, argv, "--policy", "reject");
-
-  serve::ServiceOptions opts;
-  opts.workers = std::atoi(flag_value(argc, argv, "--workers", "2"));
-  opts.queue_capacity = static_cast<std::size_t>(
-      std::atoll(flag_value(argc, argv, "--queue", "1024")));
-  opts.max_batch_points = static_cast<std::size_t>(
-      std::atoll(flag_value(argc, argv, "--batch", "64")));
-  opts.batch_window = std::chrono::microseconds(
-      std::atoll(flag_value(argc, argv, "--window-us", "200")));
   const long deadline_ms =
       std::atol(flag_value(argc, argv, "--deadline-ms", "0"));
+  auto parsed = service_flags(argc, argv, "1024");
+  if (!parsed || d < 1 || d > kMaxDim || n < 1 || n > kMaxLevel ||
+      grids < 1 || requests < 1 || producers < 1 || deadline_ms < 0 ||
+      (policy != "reject" && policy != "block"))
+    return usage();
+  serve::ServiceOptions& opts = *parsed;
+  opts.batch_window = std::chrono::microseconds(
+      std::atoll(flag_value(argc, argv, "--window-us", "200")));
   opts.default_deadline = std::chrono::milliseconds(deadline_ms);
-  const long shards = std::atol(flag_value(argc, argv, "--shards", "0"));
-  opts.shard_count = static_cast<std::size_t>(shards);
-  if (policy == "reject")
-    opts.overflow = serve::OverflowPolicy::kReject;
-  else if (policy == "block")
-    opts.overflow = serve::OverflowPolicy::kBlock;
-  else
-    return usage();
-  if (d < 1 || d > kMaxDim || n < 1 || n > kMaxLevel || grids < 1 ||
-      requests < 1 || producers < 1 || opts.workers < 1 ||
-      opts.queue_capacity < 1 || opts.max_batch_points < 1 ||
-      deadline_ms < 0 || shards < 0)
-    return usage();
+  opts.overflow = policy == "block" ? serve::OverflowPolicy::kBlock
+                                    : serve::OverflowPolicy::kReject;
 
   serve::GridRegistry registry;
-  for (int g = 0; g < grids; ++g) {
-    CompactStorage s(d, n);
-    s.sample(workloads::simulation_field(d).f);
-    hierarchize(s);
-    registry.add(grid_name(g), std::move(s));
-  }
+  register_grids(registry, grids, d, n);
   serve::EvalService service(registry, opts);
   std::printf("serve-bench: %d grid(s) d=%u level=%u (%.1f KB registry), "
               "%ld requests, %d producer(s), %zu shard(s) x %d worker(s), "
@@ -557,22 +592,10 @@ int cmd_serve_bench(int argc, char** argv) {
           .count();
   service.stop();
 
-  std::vector<double> all;
-  for (const auto& lat : lat_us) all.insert(all.end(), lat.begin(), lat.end());
-  std::sort(all.begin(), all.end());
-  const auto pct = [&](double q) {
-    return all.empty()
-               ? 0.0
-               : all[std::min(all.size() - 1,
-                              static_cast<std::size_t>(
-                                  q * static_cast<double>(all.size())))];
-  };
   const auto st = service.stats();
   std::printf("  throughput %.0f req/s (%ld requests in %.3f s)\n",
               static_cast<double>(requests) / secs, requests, secs);
-  std::printf("  latency    p50 %.0f us, p95 %.0f us, p99 %.0f us, "
-              "max %.0f us\n",
-              pct(0.50), pct(0.95), pct(0.99), all.empty() ? 0.0 : all.back());
+  print_latency(lat_us, "");
   std::printf("  batches    %llu formed, mean %.2f points, max %llu\n",
               static_cast<unsigned long long>(st.batches_formed),
               st.mean_batch(), static_cast<unsigned long long>(st.max_batch));
@@ -592,18 +615,6 @@ int cmd_serve_bench(int argc, char** argv) {
   // Closed-loop producers never outrun the queue; anything other than R
   // completions means the service misbehaved.
   return st.completed == static_cast<std::uint64_t>(requests) ? 0 : 1;
-}
-
-/// Shared grid setup of the network commands: G hierarchized grids named
-/// g0..g{G-1}, all of the same (d, n) shape.
-void register_grids(serve::GridRegistry& registry, int grids, dim_t d,
-                    level_t n) {
-  for (int g = 0; g < grids; ++g) {
-    CompactStorage s(d, n);
-    s.sample(workloads::simulation_field(d).f);
-    hierarchize(s);
-    registry.add(grid_name(g), std::move(s));
-  }
 }
 
 /// One report line per counter block, every counter under its declared name.
@@ -661,22 +672,15 @@ int cmd_net_serve(int argc, char** argv) {
   const long idle_exit_ms =
       std::atol(flag_value(argc, argv, "--idle-exit-ms", "0"));
 
-  serve::ServiceOptions opts;
-  opts.workers = std::atoi(flag_value(argc, argv, "--workers", "2"));
-  opts.queue_capacity = static_cast<std::size_t>(
-      std::atoll(flag_value(argc, argv, "--queue", "1024")));
-  opts.max_batch_points = static_cast<std::size_t>(
-      std::atoll(flag_value(argc, argv, "--batch", "64")));
+  const long in_flight = std::atol(flag_value(argc, argv, "--in-flight", "8"));
+  auto parsed = service_flags(argc, argv, "1024");
+  if (!parsed || d < 1 || d > kMaxDim || n < 1 || n > kMaxLevel ||
+      grids < 1 || port < 0 || port > 65535 || max_conns < 1 ||
+      max_points < 1 || idle_exit_ms < 0 || in_flight < 1)
+    return usage();
+  serve::ServiceOptions& opts = *parsed;
   opts.batch_window = std::chrono::microseconds(
       std::atoll(flag_value(argc, argv, "--window-us", "200")));
-  const long shards = std::atol(flag_value(argc, argv, "--shards", "0"));
-  opts.shard_count = static_cast<std::size_t>(shards);
-  const long in_flight = std::atol(flag_value(argc, argv, "--in-flight", "8"));
-  if (d < 1 || d > kMaxDim || n < 1 || n > kMaxLevel || grids < 1 ||
-      port < 0 || port > 65535 || max_conns < 1 || max_points < 1 ||
-      idle_exit_ms < 0 || opts.workers < 1 || opts.queue_capacity < 1 ||
-      opts.max_batch_points < 1 || shards < 0 || in_flight < 1)
-    return usage();
 
   serve::GridRegistry registry;
   register_grids(registry, grids, d, n);
@@ -746,25 +750,17 @@ int cmd_net_bench(int argc, char** argv) {
   const auto seed = static_cast<std::uint32_t>(
       std::atoi(flag_value(argc, argv, "--seed", "37")));
 
-  serve::ServiceOptions opts;
-  opts.workers = std::atoi(flag_value(argc, argv, "--workers", "2"));
-  opts.queue_capacity = static_cast<std::size_t>(
-      std::atoll(flag_value(argc, argv, "--queue", "4096")));
-  opts.max_batch_points = static_cast<std::size_t>(
-      std::atoll(flag_value(argc, argv, "--batch", "64")));
-  const long shards = std::atol(flag_value(argc, argv, "--shards", "0"));
-  opts.shard_count = static_cast<std::size_t>(shards);
   const long in_flight = std::atol(flag_value(argc, argv, "--in-flight", "8"));
-  if ((transport != "loopback" && transport != "tcp") || d < 1 ||
+  const auto opts = service_flags(argc, argv, "4096");
+  if (!opts || (transport != "loopback" && transport != "tcp") || d < 1 ||
       d > kMaxDim || n < 1 || n > kMaxLevel || grids < 1 || requests < 1 ||
       clients < 1 || points < 1 || port < 0 || port > 65535 ||
-      deadline_ms < 0 || opts.workers < 1 || opts.queue_capacity < 1 ||
-      opts.max_batch_points < 1 || shards < 0 || in_flight < 1)
+      deadline_ms < 0 || in_flight < 1)
     return usage();
 
   serve::GridRegistry registry;
   register_grids(registry, grids, d, n);
-  serve::EvalService service(registry, opts);
+  serve::EvalService service(registry, *opts);
 
   net::LoopbackListener loopback;
   std::unique_ptr<net::TcpListener> tcp;
@@ -781,7 +777,7 @@ int cmd_net_bench(int argc, char** argv) {
               "request(s) x %ld point(s), %d client(s), %zu shard(s) x "
               "%d worker(s), %ld frame(s) in flight\n",
               transport.c_str(), grids, d, n, requests, points, clients,
-              service.shard_count(), opts.workers, in_flight);
+              service.shard_count(), opts->workers, in_flight);
 
   const std::int64_t deadline_us = deadline_ms * 1000;
   std::vector<std::string> grid_names;
@@ -859,25 +855,13 @@ int cmd_net_bench(int argc, char** argv) {
   server.stop();
   service.stop();
 
-  std::vector<double> all;
-  for (const auto& lat : lat_us) all.insert(all.end(), lat.begin(), lat.end());
-  std::sort(all.begin(), all.end());
-  const auto pct = [&](double q) {
-    return all.empty()
-               ? 0.0
-               : all[std::min(all.size() - 1,
-                              static_cast<std::size_t>(
-                                  q * static_cast<double>(all.size())))];
-  };
   const double total_points = static_cast<double>(requests) *
                               static_cast<double>(points);
   std::printf("  throughput %.0f req/s, %.0f point/s (%ld requests in "
               "%.3f s)\n",
               static_cast<double>(requests) / secs, total_points / secs,
               requests, secs);
-  std::printf("  latency    p50 %.0f us, p95 %.0f us, p99 %.0f us, "
-              "max %.0f us per batch\n",
-              pct(0.50), pct(0.95), pct(0.99), all.empty() ? 0.0 : all.back());
+  print_latency(lat_us, " per batch");
   std::printf("  wire       %zu grid(s) listed, stats fetched:\n", listed);
   print_counters("service", ws.service);
   for (std::size_t k = 0; k < ws.service.shards.size(); ++k)
