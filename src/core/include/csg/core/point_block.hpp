@@ -13,10 +13,15 @@
 // flow through the kernel harmlessly and their accumulator slots are simply
 // never read back.
 //
-// The block also owns the kernel's per-point scratch (accumulator, running
-// hat product, running flat index), so one PointBlock is a complete reusable
-// evaluation arena: assign() only touches the heap when capacity grows, and
-// a process-wide allocation counter makes "steady state performs zero
+// The block also owns the kernel's per-point scratch: the accumulator, the
+// running hat product and running flat index, and the per-block 1-D basis
+// tables — cell_row(t, l) and hat_row(t, l) hold, for every dimension t and
+// level l < levels(), each point's cell index and hat value. A point has only
+// d * levels() distinct 1-D values, so the kernel fills the tables once per
+// block and every subspace reads them (2 * d * levels() * padded_size()
+// doubles). One PointBlock is therefore a complete reusable evaluation
+// arena: assign() only touches the heap when capacity grows, and a
+// process-wide allocation counter makes "steady state performs zero
 // point-layout allocations" a testable claim (bench_serve gates on it).
 // evaluate_blocked_into keeps one arena per thread and every evaluation
 // entry point goes through it, single points included (one padded lane).
@@ -36,11 +41,15 @@ class PointBlock {
  public:
   PointBlock() = default;
 
-  /// Transpose `points` (each of dimension d) into the SoA arrays, growing
-  /// capacity only if this block never held a (d, size) this large before.
-  void assign(dim_t d, std::span<const CoordVector> points);
+  /// Transpose `points` (each of dimension d) into the SoA arrays and size
+  /// the basis tables for `levels` levels per dimension (a grid of level n
+  /// needs levels == n), growing capacity only if this block never held a
+  /// (d, levels, size) this large before.
+  void assign(dim_t d, level_t levels, std::span<const CoordVector> points);
 
   dim_t dim() const { return dim_; }
+  /// Levels per dimension covered by the basis tables.
+  level_t levels() const { return levels_; }
   /// Number of live points of the current assign().
   std::size_t size() const { return size_; }
   /// size() rounded up to a multiple of kPointBlockLane (0 stays 0).
@@ -64,6 +73,13 @@ class PointBlock {
   real_t* scratch_products() { return scratch(1); }
   real_t* scratch_indices() { return scratch(2); }
 
+  /// Basis-table rows of dimension t at level l: padded_size() values each.
+  /// cell_row holds floor(x * 2^l) clamped to the last cell, hat_row the hat
+  /// value of that cell's basis function at x. The rows of one dimension are
+  /// contiguous: row l starts l * padded_size() after row 0.
+  real_t* cell_row(dim_t t, level_t l) { return table_row(t, l, 0); }
+  real_t* hat_row(dim_t t, level_t l) { return table_row(t, l, dim_); }
+
   /// Heap footprint of the arena.
   std::size_t memory_bytes() const {
     return storage_.capacity() * sizeof(real_t);
@@ -80,10 +96,22 @@ class PointBlock {
            (static_cast<std::size_t>(cap_dims_) + which) * stride_;
   }
 
+  // The table rows sit behind the 3 scratch arrays, packed at the current
+  // padded_size() so a one-lane block touches only d * levels() lanes:
+  // cell rows first, then hat rows (`bank` selects, in units of dim_ rows).
+  real_t* table_row(dim_t t, level_t l, dim_t bank) {
+    CSG_EXPECTS(t < dim_ && l < levels_);
+    const std::size_t row =
+        (static_cast<std::size_t>(bank) + t) * levels_ + l;
+    return scratch(3) + row * padded_;
+  }
+
   std::vector<real_t> storage_;
   std::size_t stride_ = 0;  // padded point capacity per array
   dim_t cap_dims_ = 0;
+  std::size_t cap_rows_ = 0;  // d * levels capacity of each table
   dim_t dim_ = 0;
+  level_t levels_ = 0;
   std::size_t size_ = 0;
   std::size_t padded_ = 0;
 };

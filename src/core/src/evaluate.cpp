@@ -40,8 +40,10 @@ void reset_soa_kernel_stats() {
 void evaluate_block_soa(const EvaluationPlan& plan,
                         std::span<const real_t> coeffs, PointBlock& block) {
   CSG_EXPECTS(block.dim() == plan.dim());
+  CSG_EXPECTS(block.levels() == plan.level());
   CSG_EXPECTS(coeffs.size() >= plan.num_points());
   const dim_t d = plan.dim();
+  const level_t n = plan.level();
   const level_t* levels = plan.packed_levels();
   const flat_index_t* offsets = plan.offsets();
   const std::size_t count = plan.subspace_count();
@@ -49,21 +51,24 @@ void evaluate_block_soa(const EvaluationPlan& plan,
   real_t* acc = block.accum();
   real_t* prod = block.scratch_products();
   real_t* idx = block.scratch_indices();
-  std::fill_n(acc, padded, real_t{0});
-  for (std::size_t s = 0; s < count; ++s) {
-    const level_t* l = levels + s * d;
-    const real_t* cbase = coeffs.data() + offsets[s];
-    {
-      // Dimension 0 initializes the running product and flat index; the
-      // remaining dimensions fold into them. One pass runs one level of one
-      // subspace against a full lane of points. All values are exact small
-      // integers or power-of-two-scaled coordinates, so the arithmetic
-      // rounds identically to the scalar path (the flat index stays below
-      // 2^40 and is therefore exact in a double).
-      const real_t cells = pow2_real(l[0]);  // 2^l: cells of this level
-      const real_t h_inv = cells * 2;        // 1/h = 2^(l+1), exact
+  // Row 0 of each dimension's tables; its level-l row sits l * padded later.
+  real_t* cell_rows[kMaxDim];
+  real_t* hat_rows[kMaxDim];
+  // Table pass, once per block: every point's cell index and hat value in
+  // each dimension at each level — the only d * n distinct 1-D factors of
+  // Alg. 7's tensor-product basis. All values are exact small integers or
+  // power-of-two-scaled coordinates, so the arithmetic rounds identically
+  // to the scalar path.
+  for (dim_t t = 0; t < d; ++t) {
+    cell_rows[t] = block.cell_row(t, 0);
+    hat_rows[t] = block.hat_row(t, 0);
+    const real_t* x = block.coords(t);
+    for (level_t lv = 0; lv < n; ++lv) {
+      const real_t cells = pow2_real(lv);  // 2^l: cells of this level
+      const real_t h_inv = cells * 2;      // 1/h = 2^(l+1), exact
       const real_t max_cell = cells - 1;
-      const real_t* x = block.coords(0);
+      real_t* cell_out = cell_rows[t] + lv * padded;
+      real_t* hat_out = hat_rows[t] + lv * padded;
       // scalar fallback: subspace_contribution
 #pragma omp simd
       for (std::size_t p = 0; p < padded; ++p) {
@@ -75,34 +80,40 @@ void evaluate_block_soa(const EvaluationPlan& plan,
         // x; max(v, 0) is the branch-free boundary/support select.
         const real_t v =
             real_t{1} - std::fabs(x[p] * h_inv - (2 * cell + 1));
-        idx[p] = cell;
-        prod[p] = v > 0 ? v : 0;
+        cell_out[p] = cell;
+        hat_out[p] = v > 0 ? v : 0;
       }
     }
+  }
+  std::fill_n(acc, padded, real_t{0});
+  for (std::size_t s = 0; s < count; ++s) {
+    const level_t* l = levels + s * d;
+    const real_t* cbase = coeffs.data() + offsets[s];
+    // Fold pass: dimension 0's table rows seed the running flat index and
+    // hat product, which every later dimension folds its rows into (Horner
+    // form over the per-dimension cell counts). The flat index stays below
+    // 2^40 and is therefore exact in a double.
+    const real_t* in_idx = cell_rows[0] + l[0] * padded;
+    const real_t* in_prod = hat_rows[0] + l[0] * padded;
     for (dim_t t = 1; t < d; ++t) {
       const real_t cells = pow2_real(l[t]);
-      const real_t h_inv = cells * 2;
-      const real_t max_cell = cells - 1;
-      const real_t* x = block.coords(t);
+      const real_t* cell = cell_rows[t] + l[t] * padded;
+      const real_t* hat = hat_rows[t] + l[t] * padded;
       // scalar fallback: subspace_contribution
 #pragma omp simd
       for (std::size_t p = 0; p < padded; ++p) {
-        const real_t scaled = x[p] * cells;
-        real_t cell = (scaled + kFloorShift) - kFloorShift;
-        cell = cell > scaled ? cell - 1 : cell;
-        cell = cell < max_cell ? cell : max_cell;
-        const real_t v =
-            real_t{1} - std::fabs(x[p] * h_inv - (2 * cell + 1));
-        idx[p] = idx[p] * cells + cell;
-        prod[p] *= v > 0 ? v : 0;
+        idx[p] = in_idx[p] * cells + cell[p];
+        prod[p] = in_prod[p] * hat[p];
       }
+      in_idx = idx;
+      in_prod = prod;
     }
     // Gather the selected coefficient per point and accumulate. Points on a
     // grid line of this subspace carry prod == 0 and contribute exactly +-0.
     // scalar fallback: subspace_contribution
 #pragma omp simd
     for (std::size_t p = 0; p < padded; ++p)
-      acc[p] += prod[p] * cbase[static_cast<flat_index_t>(idx[p])];
+      acc[p] += in_prod[p] * cbase[static_cast<flat_index_t>(in_idx[p])];
   }
   g_soa_blocks.fetch_add(1, std::memory_order_relaxed);
   g_soa_lanes.fetch_add(block.lanes(), std::memory_order_relaxed);
@@ -144,7 +155,7 @@ void evaluate_blocked_into(const EvaluationPlan& plan,
   thread_local PointBlock block;
   for (std::size_t b0 = 0; b0 < points.size(); b0 += block_size) {
     const std::size_t b1 = std::min(b0 + block_size, points.size());
-    block.assign(plan.dim(), points.subspan(b0, b1 - b0));
+    block.assign(plan.dim(), plan.level(), points.subspan(b0, b1 - b0));
     evaluate_block_soa(plan, coeffs, block);
     const real_t* acc = block.accum();
     for (std::size_t p = b0; p < b1; ++p) out[p] += acc[p - b0];

@@ -321,7 +321,7 @@ OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
   // the real points must match the walker; the padded tail is scratch.
   if (!points.empty()) {
     PointBlock block;
-    block.assign(coeffs.dim(), points);
+    block.assign(coeffs.dim(), coeffs.grid().level(), points);
     evaluate_block_soa(*plan, raw, block);
     compare_values(std::span<const real_t>(block.accum(), points.size()),
                    "evaluate_walk vs evaluate_block_soa(direct)");

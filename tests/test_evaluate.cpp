@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "csg/core/hierarchize.hpp"
 #include "csg/core/point_block.hpp"
@@ -154,6 +156,67 @@ TEST(EvaluateSoa, BoundaryAndGridLinePoints) {
   EXPECT_EQ(soa[2], 0.0);
 }
 
+TEST(EvaluateSoa, GridLinesOnHighestTableRow) {
+  // d=3 n=9: the finest level is 8, so k/2^8 (k odd) lies on a support edge
+  // of the last basis-table row, 1 - 2^-9 on the centre of its last hat,
+  // and 0 and 1 on the domain boundary (the x == 1 clamp).
+  const CompactStorage s = compressed(workloads::oscillatory(3), 3, 9);
+  const real_t top = 1.0 - std::ldexp(1.0, -9);
+  std::vector<CoordVector> pts{{0.0, 0.0, 0.0}, {1.0, 1.0, 1.0},
+                               {top, top, top}, {0.0, top, 1.0}};
+  for (const int k : {1, 3, 85, 127, 129, 171, 253, 255}) {
+    const real_t line = std::ldexp(static_cast<real_t>(k), -8);
+    pts.push_back({line, line, line});
+    pts.push_back({line, top, 0.3});
+    pts.push_back({1.0, line, top});
+    pts.push_back({0.0, 0.61, line});
+  }
+  const auto soa = evaluate_many_blocked(s, pts, 5);
+  for (std::size_t p = 0; p < pts.size(); ++p) {
+    const real_t walk = testing::evaluate_walk(s.grid(), s.values(), pts[p]);
+    EXPECT_EQ(soa[p], walk) << "point " << p;
+    EXPECT_EQ(evaluate(s, pts[p]), walk) << "point " << p;
+  }
+}
+
+TEST(EvaluateSoa, OneArenaAcrossGridShapes) {
+  // A smaller grid after a larger one on the same thread-local arena: stale
+  // table rows or a level stride left over from the previous shape would
+  // show up as a mismatch against the walk.
+  const std::vector<std::pair<dim_t, level_t>> shapes{
+      {2, 3}, {6, 8}, {2, 3}, {4, 10}};
+  std::vector<CompactStorage> grids;
+  std::mt19937_64 rng(0xa2e4aull);
+  std::uniform_real_distribution<real_t> coef(-1.0, 1.0);
+  for (const auto& [d, n] : shapes) {
+    CompactStorage g(d, n);
+    for (std::size_t i = 0; i < g.values().size(); ++i) g[i] = coef(rng);
+    grids.push_back(std::move(g));
+  }
+  // Every grid sees the same point prefix, cut to its dimension.
+  const auto prefix = workloads::uniform_points(6, 23, 41);
+  auto run_all = [&] {
+    for (const CompactStorage& g : grids) {
+      std::vector<CoordVector> pts;
+      for (const CoordVector& x : prefix)
+        pts.emplace_back(x.begin(), x.begin() + g.dim());
+      const auto batch = evaluate_many_blocked(g, pts, 9);
+      for (std::size_t p = 0; p < pts.size(); ++p) {
+        const real_t walk = testing::evaluate_walk(g.grid(), g.values(),
+                                                   pts[p]);
+        EXPECT_EQ(batch[p], walk)
+            << "d=" << g.dim() << " n=" << g.grid().level() << " point " << p;
+        EXPECT_EQ(evaluate(g, pts[p]), walk)
+            << "d=" << g.dim() << " n=" << g.grid().level() << " point " << p;
+      }
+    }
+  };
+  run_all();  // warm pass: the arena grows to the largest shape
+  const std::uint64_t arena0 = PointBlock::allocation_count();
+  run_all();
+  EXPECT_EQ(PointBlock::allocation_count(), arena0);
+}
+
 TEST(EvaluateSoa, DegenerateShapes) {
   {
     // d = 1, n = 1: a single basis function.
@@ -243,7 +306,19 @@ TEST(EvaluateSoaDeath, BlockDimensionMismatchAborts) {
   const std::span<const real_t> coeffs(s.data(), s.values().size());
   PointBlock block;
   const std::vector<CoordVector> pts{{0.5, 0.5, 0.5}};
-  block.assign(3, pts);
+  block.assign(3, 3, pts);
+  EXPECT_DEATH(evaluate_block_soa(*plan, coeffs, block), "precondition");
+}
+
+TEST(EvaluateSoaDeath, BlockLevelMismatchAborts) {
+  // Tables sized for fewer levels than the plan would be read past their
+  // last row.
+  const CompactStorage s = compressed(workloads::gaussian_bump(2), 2, 3);
+  const auto plan = EvaluationPlan::shared(s.grid());
+  const std::span<const real_t> coeffs(s.data(), s.values().size());
+  PointBlock block;
+  const std::vector<CoordVector> pts{{0.5, 0.5}};
+  block.assign(2, 2, pts);
   EXPECT_DEATH(evaluate_block_soa(*plan, coeffs, block), "precondition");
 }
 

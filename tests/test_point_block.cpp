@@ -19,7 +19,7 @@ TEST(PointBlock, TransposesEveryCoordinate) {
   const dim_t d = 4;
   const auto pts = make_points(d, 13);
   PointBlock block;
-  block.assign(d, pts);
+  block.assign(d, 4, pts);
   ASSERT_EQ(block.dim(), d);
   ASSERT_EQ(block.size(), pts.size());
   for (dim_t t = 0; t < d; ++t) {
@@ -37,7 +37,7 @@ TEST(PointBlock, PadsToLaneMultipleWithZeroCoordinate) {
   for (const std::size_t count : {std::size_t{1}, kPointBlockLane - 1,
                                   kPointBlockLane, kPointBlockLane + 1,
                                   3 * kPointBlockLane + 5}) {
-    block.assign(d, make_points(d, count));
+    block.assign(d, 4, make_points(d, count));
     const std::size_t padded =
         (count + kPointBlockLane - 1) / kPointBlockLane * kPointBlockLane;
     EXPECT_EQ(block.padded_size(), padded) << "count=" << count;
@@ -51,7 +51,7 @@ TEST(PointBlock, PadsToLaneMultipleWithZeroCoordinate) {
 
 TEST(PointBlock, EmptySpanYieldsZeroSizes) {
   PointBlock block;
-  block.assign(3, {});
+  block.assign(3, 4, {});
   EXPECT_EQ(block.dim(), 3u);
   EXPECT_EQ(block.size(), 0u);
   EXPECT_EQ(block.padded_size(), 0u);
@@ -61,35 +61,47 @@ TEST(PointBlock, EmptySpanYieldsZeroSizes) {
 TEST(PointBlock, ReassignAtOrBelowCapacityDoesNotAllocate) {
   const dim_t d = 5;
   PointBlock block;
-  block.assign(d, make_points(d, 64));
+  block.assign(d, 6, make_points(d, 64));
   const std::uint64_t grown = PointBlock::allocation_count();
-  // Steady state: same shape, smaller blocks, fewer dimensions — all fit in
-  // the existing arena, so the process-wide growth counter must stay flat.
+  // Steady state: same shape, smaller blocks, fewer dimensions or levels —
+  // all fit in the existing arena, so the process-wide growth counter must
+  // stay flat.
   for (const std::size_t count : {std::size_t{64}, std::size_t{17},
                                   std::size_t{1}, std::size_t{64}}) {
-    block.assign(d, make_points(d, count));
+    block.assign(d, 6, make_points(d, count));
     EXPECT_EQ(block.size(), count);
   }
-  block.assign(2, make_points(2, 64));
+  block.assign(d, 2, make_points(d, 64));
+  // Fewer dimensions may carry more levels: 2 * 15 table rows fit in 5 * 6.
+  block.assign(2, 15, make_points(2, 64));
   EXPECT_EQ(PointBlock::allocation_count(), grown);
 }
 
 TEST(PointBlock, GrowthBumpsAllocationCounter) {
   PointBlock block;
-  block.assign(2, make_points(2, 8));
+  block.assign(2, 3, make_points(2, 8));
   const std::uint64_t before = PointBlock::allocation_count();
-  block.assign(2, make_points(2, 8 * kPointBlockLane));  // more points
+  block.assign(2, 3, make_points(2, 8 * kPointBlockLane));  // more points
   EXPECT_GT(PointBlock::allocation_count(), before);
   const std::uint64_t after_points = PointBlock::allocation_count();
-  block.assign(6, make_points(6, 8));  // more dimensions
+  block.assign(6, 3, make_points(6, 8));  // more dimensions
   EXPECT_GT(PointBlock::allocation_count(), after_points);
+  // More levels grow the basis tables exactly once; the same shape again
+  // fits.
+  const std::uint64_t after_dims = PointBlock::allocation_count();
+  const std::size_t bytes_before = block.memory_bytes();
+  block.assign(6, 9, make_points(6, 8));
+  EXPECT_EQ(PointBlock::allocation_count(), after_dims + 1);
+  EXPECT_GT(block.memory_bytes(), bytes_before);
+  block.assign(6, 9, make_points(6, 8));
+  EXPECT_EQ(PointBlock::allocation_count(), after_dims + 1);
 }
 
 TEST(PointBlock, ScratchArraysAreDisjointFromCoordinates) {
   const dim_t d = 3;
   const auto pts = make_points(d, 10);
   PointBlock block;
-  block.assign(d, pts);
+  block.assign(d, 4, pts);
   for (std::size_t p = 0; p < block.padded_size(); ++p) {
     block.accum()[p] = 1.0;
     block.scratch_products()[p] = 2.0;
@@ -105,14 +117,21 @@ TEST(PointBlock, ScratchArraysAreDisjointFromCoordinates) {
 
 TEST(PointBlockDeath, CoordinateAxisOutOfRangeAborts) {
   PointBlock block;
-  block.assign(2, make_points(2, 4));
+  block.assign(2, 3, make_points(2, 4));
   EXPECT_DEATH((void)block.coords(2), "precondition");
+}
+
+TEST(PointBlockDeath, TableRowOutOfRangeAborts) {
+  PointBlock block;
+  block.assign(2, 3, make_points(2, 4));
+  EXPECT_DEATH((void)block.cell_row(0, 3), "precondition");
+  EXPECT_DEATH((void)block.hat_row(2, 0), "precondition");
 }
 
 TEST(PointBlockDeath, PointDimensionMismatchAborts) {
   PointBlock block;
   const std::vector<CoordVector> bad{CoordVector{0.5, 0.5, 0.5}};
-  EXPECT_DEATH(block.assign(2, bad), "precondition");
+  EXPECT_DEATH(block.assign(2, 3, bad), "precondition");
 }
 
 }  // namespace

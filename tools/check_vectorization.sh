@@ -1,16 +1,16 @@
 #!/bin/sh
 # Verify the SoA batch kernel's inner loops actually vectorize
-# (DESIGN.md §14). The kernel's speedup rests on the two per-dimension hat
-# passes in evaluate_block_soa compiling to vector code; a refactor that
+# (DESIGN.md §14). The kernel's speedup rests on its table and fold passes
+# in evaluate_block_soa compiling to vector code; a refactor that
 # reintroduces a branch (or drops -fno-trapping-math) silently falls back
 # to scalar and only a careful bench read would notice. This check makes
 # that regression loud: it compiles src/core/src/evaluate.cpp standalone
 # with the same per-TU flags the build uses (src/core/CMakeLists.txt),
 # captures the compiler's vectorization report (-fopt-info-vec-* on GCC,
-# -Rpass{,-missed}=loop-vectorize on Clang), and fails unless both hat
-# passes are reported vectorized. The coefficient-gather loop is exempt:
-# baseline x86-64 has no double<->uint64 vector conversion, so it is
-# expected to stay scalar there.
+# -Rpass{,-missed}=loop-vectorize on Clang), and fails unless both the
+# table and fold passes are reported vectorized. The coefficient-gather
+# loop is exempt: baseline x86-64 has no double<->uint64 vector
+# conversion, so it is expected to stay scalar there.
 #
 # Usage: tools/check_vectorization.sh [c++-compiler]   (default: $CXX, g++)
 set -u
@@ -37,7 +37,8 @@ if ! "$CXX" -std=c++20 -O2 -fopenmp-simd -ffp-contract=off \
 fi
 
 # The kernel loops are the `#pragma omp simd` sites in the TU, in order:
-# dimension-0 hat pass, dimension-t hat pass, coefficient gather. The
+# basis-table pass (once per block), fold pass (per subspace and
+# dimension), coefficient gather. The
 # first two must vectorize; the compiler reports against the `for` line,
 # so accept a report within two lines below each pragma.
 PRAGMAS=$(grep -n "#pragma omp simd" "$TU" | cut -d: -f1)
@@ -72,5 +73,5 @@ if [ "$failures" -ne 0 ]; then
     cat "$OUT" >&2
     exit 1
 fi
-echo "check_vectorization: SoA hat passes vectorized ($CXX)"
+echo "check_vectorization: SoA table and fold passes vectorized ($CXX)"
 exit 0
