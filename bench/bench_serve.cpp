@@ -4,14 +4,16 @@
 // Two kinds of metrics come out of one binary:
 //
 //  * deterministic batching/backpressure/deadline counters, produced on a
-//    paused service with a zero batching window so batch formation is pure
-//    arithmetic (batches == ceil(R / B), rejections == R - queue capacity,
-//    timeouts == requests with expired deadlines). These gate at 1e-6 in
-//    tools/bench_compare.py — any drift is a logic change, not noise.
+//    paused service so batch formation is pure arithmetic (batches ==
+//    ceil(R / B), rejections == R - queue capacity, timeouts == requests
+//    with expired deadlines, whole frames per batch up to B points). These
+//    gate at 1e-6 in tools/bench_compare.py — any drift is a logic change,
+//    not noise.
 //  * wall-clock throughput/latency of the live service, recorded as
 //    neutral metrics (scheduler-dependent; informational only).
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <future>
 #include <string>
@@ -82,13 +84,12 @@ int main(int argc, char** argv) {
   report.set_param("shards", static_cast<std::int64_t>(4));
 
   // --- deterministic batching accounting -------------------------------
-  // Paused service, zero window: all R requests are queued before any
-  // worker runs, so batches form at full size and the counters are exact.
+  // Paused service: all R requests are queued before any worker runs, so
+  // batches form at full size and the counters are exact.
   {
     serve::ServiceOptions opts;
     opts.queue_capacity = requests;
     opts.max_batch_points = batch;
-    opts.batch_window = std::chrono::microseconds(0);
     opts.workers = workers;
     opts.start_paused = true;
     serve::EvalService service(registry, opts);
@@ -115,13 +116,58 @@ int main(int argc, char** argv) {
               static_cast<double>(st.completed), "requests");
   }
 
+  // --- deterministic frame batching ------------------------------------
+  // Paused service fed by submit_batch: R/3 frames of 3 points, then one
+  // frame of B + B/4 points. A batch takes whole frames, oldest first, and
+  // stops before exceeding B points, so every batch holds floor(B/3)
+  // frames; the oversized last frame is never split and forms a batch of
+  // its own.
+  {
+    serve::ServiceOptions opts;
+    opts.queue_capacity = requests + batch + batch / 4;
+    opts.max_batch_points = batch;
+    opts.workers = workers;
+    opts.start_paused = true;
+    serve::EvalService service(registry, opts);
+    std::vector<std::vector<CoordVector>> frames;
+    for (std::size_t k = 0; k + 3 <= requests; k += 3)
+      frames.emplace_back(pts.begin() + static_cast<std::ptrdiff_t>(k),
+                          pts.begin() + static_cast<std::ptrdiff_t>(k + 3));
+    const std::size_t small_frames = frames.size();
+    frames.emplace_back();
+    for (std::size_t k = 0; k < batch + batch / 4; ++k)
+      frames.back().push_back(pts[k % pts.size()]);
+    std::vector<std::future<std::vector<serve::EvalResult>>> futs;
+    futs.reserve(frames.size());
+    for (auto& frame : frames)
+      futs.push_back(service.submit_batch(
+          "a", std::move(frame), serve::EvalService::kNoDeadline));
+    service.start();
+    for (auto& f : futs) (void)f.get();
+    service.stop();
+    const auto st = service.stats();
+    const std::size_t per_batch = std::max<std::size_t>(1, batch / 3);
+    std::printf("frames      %llu batches for %zu frames (expect %zu), "
+                "max %llu, %llu points\n",
+                static_cast<unsigned long long>(st.batches_formed),
+                small_frames + 1,
+                (small_frames + per_batch - 1) / per_batch + 1,
+                static_cast<unsigned long long>(st.max_batch),
+                static_cast<unsigned long long>(st.completed));
+    add_exact(report, "frames/batches_formed",
+              static_cast<double>(st.batches_formed), "batches");
+    add_exact(report, "frames/max_batch", static_cast<double>(st.max_batch),
+              "points");
+    add_exact(report, "frames/completed", static_cast<double>(st.completed),
+              "points");
+  }
+
   // --- deterministic rejection accounting ------------------------------
   // Paused + kReject + small queue: exactly (submitted - capacity) shed.
   {
     serve::ServiceOptions opts;
     opts.queue_capacity = queue;
     opts.max_batch_points = batch;
-    opts.batch_window = std::chrono::microseconds(0);
     opts.workers = workers;
     opts.overflow = serve::OverflowPolicy::kReject;
     opts.start_paused = true;
@@ -149,7 +195,6 @@ int main(int argc, char** argv) {
     serve::ServiceOptions opts;
     opts.queue_capacity = requests;
     opts.max_batch_points = batch;
-    opts.batch_window = std::chrono::microseconds(0);
     opts.workers = workers;
     opts.start_paused = true;
     serve::EvalService service(registry, opts);
@@ -190,7 +235,6 @@ int main(int argc, char** argv) {
     opts.shard_count = shard_count;
     opts.queue_capacity = queue;
     opts.max_batch_points = batch;
-    opts.batch_window = std::chrono::microseconds(0);
     opts.workers = workers;
     opts.overflow = serve::OverflowPolicy::kReject;
     opts.start_paused = true;
@@ -249,17 +293,17 @@ int main(int argc, char** argv) {
   }
 
   // --- deterministic SoA arena reuse -----------------------------------
-  // One shard, one worker: the worker (and the OpenMP team it drives) owns
-  // a fixed set of thread-local PointBlock arenas. The first drained round
-  // sizes them; every later batch is equal or smaller, so the process-wide
-  // arena growth counter must stay exactly flat — the "zero per-batch
-  // point-layout allocation" claim of DESIGN.md §14, gated at 1e-6.
+  // One shard, one worker: the worker owns one thread-local PointBlock
+  // arena. The first drained round sizes it; every later batch is equal or
+  // smaller — per-point rounds alternate with rounds of B-point frames —
+  // so the process-wide arena growth counter must stay exactly flat: the
+  // "zero per-batch point-layout allocation" claim of DESIGN.md §14, gated
+  // at 1e-6.
   {
     serve::ServiceOptions opts;
     opts.shard_count = 1;
     opts.queue_capacity = requests;
     opts.max_batch_points = batch;
-    opts.batch_window = std::chrono::microseconds(0);
     opts.workers = 1;
     opts.start_paused = true;
     serve::EvalService service(registry, opts);
@@ -273,10 +317,22 @@ int main(int argc, char** argv) {
     const std::uint64_t warm = PointBlock::allocation_count();
     const int rounds = 4;
     for (int r = 0; r < rounds; ++r) {
-      for (std::size_t k = 0; k < requests; ++k)
-        futs.push_back(service.submit("a", pts[k]));
-      for (auto& f : futs) (void)f.get();
-      futs.clear();
+      if (r % 2 == 0) {
+        for (std::size_t k = 0; k < requests; ++k)
+          futs.push_back(service.submit("a", pts[k]));
+        for (auto& f : futs) (void)f.get();
+        futs.clear();
+        continue;
+      }
+      std::vector<std::future<std::vector<serve::EvalResult>>> frames;
+      for (std::size_t k = 0; k < requests; k += batch)
+        frames.push_back(service.submit_batch(
+            "a", std::vector<CoordVector>(
+                     pts.begin() + static_cast<std::ptrdiff_t>(k),
+                     pts.begin() + static_cast<std::ptrdiff_t>(
+                                       std::min(k + batch, requests))),
+            serve::EvalService::kNoDeadline));
+      for (auto& f : frames) (void)f.get();
     }
     service.stop();
     const std::uint64_t steady = PointBlock::allocation_count() - warm;

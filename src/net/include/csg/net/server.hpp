@@ -6,12 +6,13 @@
 // may have up to max_in_flight frames outstanding: the reader keeps
 // decoding and submitting while earlier responses are still being
 // evaluated or written, so one slow batch no longer stalls the requests
-// queued behind it on the same connection. Responses are written strictly
-// in request order — the reader appends response slots FIFO and the single
-// writer pops them FIFO, waiting on each slot's evaluation futures in
-// turn. Once max_in_flight slots are pending the reader blocks, so a slow
-// client still backpressures only its own connection (the transport's
-// bounded buffers push back on the writer).
+// queued behind it on the same connection. Each eval frame is submitted to
+// the service as one request (EvalService::submit_batch) with one future.
+// Responses are written strictly in request order — the reader appends
+// response slots FIFO and the single writer pops them FIFO, waiting on each
+// slot's future in turn. Once max_in_flight slots are pending the reader
+// blocks, so a slow client still backpressures only its own connection (the
+// transport's bounded buffers push back on the writer).
 //
 // Malformed input never crashes the server; it is classified by the codec:
 //
@@ -86,14 +87,14 @@ class NetServer {
     std::atomic<bool> done{false};
   };
 
-  /// One queued response, in request order. Eval slots carry the service
-  /// futures and are encoded by the writer once they resolve; every other
-  /// response (list, stats, error) is pre-encoded by the reader.
+  /// One queued response, in request order. Eval slots carry the frame's
+  /// service future and are encoded by the writer once it resolves; every
+  /// other response (list, stats, error) is pre-encoded by the reader.
   struct ResponseSlot {
     bool is_eval = false;
     bool is_error = false;
     std::uint64_t id = 0;
-    std::vector<std::future<serve::EvalResult>> futures;
+    std::future<std::vector<serve::EvalResult>> results;
     std::vector<std::uint8_t> frame;
   };
 

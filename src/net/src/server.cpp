@@ -186,15 +186,14 @@ void NetServer::writer_loop(ByteStream& stream, Pipeline& pipeline) {
     pipeline.slot_free.notify_one();
 
     if (slot.is_eval) {
-      // Resolve this slot's futures now, in queue position: responses
+      // Resolve this slot's future now, in queue position: responses
       // leave in request order no matter how batches were scheduled.
       EvalResponse resp;
       resp.id = slot.id;
-      resp.results.reserve(slot.futures.size());
-      for (auto& f : slot.futures) {
-        const serve::EvalResult r = f.get();
+      const std::vector<serve::EvalResult> results = slot.results.get();
+      resp.results.reserve(results.size());
+      for (const serve::EvalResult& r : results)
         resp.results.push_back({static_cast<std::uint8_t>(r.status), r.value});
-      }
       slot.frame = encode_eval_response(resp);
     }
     if (!send(stream, slot.frame, slot.is_error)) {
@@ -273,15 +272,14 @@ bool NetServer::handle_frame(Pipeline& pipeline, const FrameHeader& header,
         deadline = serve::EvalService::Clock::now() +
                    std::chrono::microseconds(req.deadline_us);
 
-      // Submit now, respond later: the reader moves on to the next frame
-      // while the writer waits for these futures in queue order.
+      // Submit the frame as one request now, respond later: the reader
+      // moves on to the next frame while the writer waits for this future
+      // in queue order.
       ResponseSlot slot;
       slot.is_eval = true;
       slot.id = req.id;
-      slot.futures.reserve(req.points.size());
-      for (CoordVector& p : req.points)
-        slot.futures.push_back(
-            service_.submit(req.grid, std::move(p), deadline));
+      slot.results =
+          service_.submit_batch(req.grid, std::move(req.points), deadline);
       return enqueue(pipeline, std::move(slot));
     }
 

@@ -1,11 +1,12 @@
 // EvalService: asynchronous batched evaluation over a GridRegistry — the
 // serving layer's core loop.
 //
-// Point queries arrive one at a time (submit() returns a future); workers
-// coalesce queued queries *per grid* into batches and run each batch
-// through the plan-based blocked evaluation (Sec. 4.3 blocking,
-// evaluate_many_blocked on the entry's pinned plan, 64-point blocks) on
-// the worker's own thread.
+// A request is a frame of points against one grid: submit_batch() queues
+// the whole frame as one item and returns one future holding a result per
+// point, in submission order; submit() is a frame of one. Workers coalesce
+// queued frames *per grid* into batches and run each batch through the
+// plan-based blocked evaluation (Sec. 4.3 blocking, evaluate_blocked_into
+// on the entry's pinned plan, 64-point blocks) on the worker's own thread.
 //
 // The service is sharded by grid: shard_hash(name) % shard_count picks a
 // shard, and every shard owns its own bounded queue, worker set, batch
@@ -17,14 +18,16 @@
 // coalesces per grid and single-grid accounting stays exact. The
 // lifecycle discipline a production server needs is explicit:
 //
-//  * bounded submission queues — at most queue_capacity requests wait
-//    *per shard*; overflow either rejects immediately (kReject, load
-//    shedding) or blocks the producer (kBlock, backpressure),
-//  * batching window — a worker that finds fewer than max_batch_points
-//    queued for its grid waits up to batch_window for stragglers before
-//    evaluating, trading a bounded latency bump for larger batches,
-//  * per-request deadlines — a request whose deadline has already expired
-//    when submit() runs is shed at admission (kTimeout, never queued,
+//  * bounded submission queues — at most queue_capacity *points* wait per
+//    shard; overflow either rejects the points that do not fit (kReject,
+//    load shedding) or blocks the producer until the whole frame fits
+//    (kBlock, backpressure; a frame larger than the capacity is admitted
+//    once the queue is empty),
+//  * work-conserving batching — a worker takes whole frames of the oldest
+//    frame's grid, oldest first, and evaluates at once; it never waits for
+//    stragglers, so a batch holds whatever queued while the worker was busy,
+//  * per-request deadlines — a frame whose deadline has already expired
+//    when it is submitted is shed at admission (kTimeout, never queued,
 //    counted in ServiceStats::shed_at_admission); one whose deadline passes
 //    while queued completes with Status::kTimeout when its batch forms and
 //    is never evaluated; a blocked producer gives up with kTimeout when its
@@ -32,6 +35,9 @@
 //  * graceful shutdown — stop(drain=true) (and the destructor) lets
 //    workers drain every queued request through normal batches;
 //    stop(drain=false) fails pending requests with Status::kCancelled.
+//
+// Every point of a frame gets the status and counter outcome it would get
+// if the frame's points were submitted one by one, in order.
 //
 // Results are bit-identical to sequential evaluate(): batching only groups
 // points, and the blocked kernel sums subspaces in enumeration order per
@@ -85,13 +91,11 @@ struct ServiceOptions {
   /// Number of independent shards (queue + worker set each). Zero derives
   /// the count from std::thread::hardware_concurrency (clamped to [1, 8]).
   std::size_t shard_count = 0;
-  /// Upper bound on queued (not yet batched) requests, per shard.
+  /// Upper bound on queued (not yet batched) points, per shard.
   std::size_t queue_capacity = 1024;
-  /// A batch never holds more points than this.
+  /// Batch formation stops before a batch would exceed this many points;
+  /// one request is never split, so a larger frame forms a batch alone.
   std::size_t max_batch_points = 256;
-  /// How long a worker waits for a partial batch to fill. Zero: batches
-  /// are formed from whatever is queued at pop time.
-  std::chrono::microseconds batch_window{200};
   /// Worker threads forming and running batches, per shard.
   int workers = 2;
   OverflowPolicy overflow = OverflowPolicy::kReject;
@@ -120,9 +124,16 @@ class EvalService {
   EvalService(const EvalService&) = delete;
   EvalService& operator=(const EvalService&) = delete;
 
-  /// Queue one point query against grid `name`. Always returns a future
-  /// that will hold a result; failures (unknown grid, malformed point,
-  /// rejection, timeout) are delivered through Status, never exceptions.
+  /// Queue one frame of point queries against grid `name` as one request.
+  /// Always returns a future that will hold one result per point, in
+  /// submission order; failures (unknown grid, malformed point, rejection,
+  /// timeout) are delivered through Status, never exceptions.
+  std::future<std::vector<EvalResult>> submit_batch(
+      const std::string& name, std::vector<CoordVector> points,
+      Clock::time_point deadline);
+
+  /// A frame of one point. The future is deferred: get() reads the frame's
+  /// only result (wait_for() reports future_status::deferred).
   std::future<EvalResult> submit(const std::string& name, CoordVector point);
   std::future<EvalResult> submit(const std::string& name, CoordVector point,
                                  Clock::time_point deadline);
@@ -136,7 +147,7 @@ class EvalService {
 
   bool running() const;
 
-  /// Requests queued and not yet claimed by a batch, summed over shards.
+  /// Points queued and not yet claimed by a batch, summed over shards.
   std::size_t pending() const;
 
   ServiceStats stats() const;
@@ -153,11 +164,23 @@ class EvalService {
   }
 
  private:
+  /// One submitted frame.
   struct Request {
     std::shared_ptr<const GridEntry> entry;
-    CoordVector point;
+    std::vector<CoordVector> points;
+    /// One slot per point, in submission order. A queued point holds kOk
+    /// until its batch runs; every other slot already has its final status.
+    std::vector<EvalResult> results;
+    std::size_t queued = 0;  ///< slots still holding kOk
     Clock::time_point deadline = kNoDeadline;
-    std::promise<EvalResult> promise;
+    std::promise<std::vector<EvalResult>> promise;
+  };
+
+  /// A worker's batch and its reusable gather and output buffers.
+  struct Batch {
+    std::vector<Request> requests;
+    std::vector<CoordVector> points;
+    std::vector<real_t> values;
   };
 
   /// One independent slice of the service: its own bounded queue, worker
@@ -168,6 +191,8 @@ class EvalService {
     CondVar not_empty;
     CondVar not_full;
     std::deque<Request> queue CSG_GUARDED_BY(mutex);
+    /// Sum of `queued` over the queue: what queue_capacity bounds.
+    std::size_t queued_points CSG_GUARDED_BY(mutex) = 0;
     /// Workers exit once the queue drains.
     bool stopping CSG_GUARDED_BY(mutex) = false;
     /// Terminal: submits reject, start() is a no-op.
@@ -178,19 +203,24 @@ class EvalService {
   };
 
   void worker_loop(Shard& shard);
-  /// Move queued requests for `entry` into `batch`, up to max_batch_points
-  /// total.
-  void collect_locked(Shard& shard, const GridEntry* entry,
-                      std::vector<Request>& batch) CSG_REQUIRES(shard.mutex);
-  /// True once a blocked producer may stop waiting: space freed, or the
-  /// service is shutting down.
-  bool submit_unblocked(const Shard& shard) const CSG_REQUIRES(shard.mutex) {
-    return shard.stopping || shard.stopped ||
-           shard.queue.size() < opts_.queue_capacity;
+  /// Move whole requests of the oldest request's grid, oldest first, into
+  /// `batch`, stopping before max_batch_points would be exceeded (a lone
+  /// larger request is taken whole).
+  void take_batch_locked(Shard& shard, std::vector<Request>& batch)
+      CSG_REQUIRES(shard.mutex);
+  /// True once a producer blocked on `points` may stop waiting: the frame
+  /// fits (or the queue is empty), or the service is shutting down.
+  bool submit_unblocked(const Shard& shard, std::size_t points) const
+      CSG_REQUIRES(shard.mutex) {
+    return shard.stopping || shard.stopped || shard.queued_points == 0 ||
+           shard.queued_points + points <= opts_.queue_capacity;
   }
-  void run_batch(std::vector<Request> batch);
-
-  static std::future<EvalResult> immediate(Status status);
+  /// Time out expired requests, gather the rest's queued points, evaluate
+  /// them in one call and deliver every request of the batch.
+  void run_batch(Batch& batch);
+  /// Give every still-queued point of `req` final status `status` and
+  /// deliver the frame.
+  static void finish(Request& req, Status status);
 
   const GridRegistry& registry_;
   const ServiceOptions opts_;

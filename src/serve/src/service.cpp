@@ -17,6 +17,9 @@ bool valid_point(const GridEntry& entry, const CoordVector& point) {
   return true;
 }
 
+/// Points per SoA block inside a batch (Sec. 4.3 blocking).
+constexpr std::size_t kBlockPoints = 64;
+
 std::size_t default_shard_count() {
   const unsigned hw = std::thread::hardware_concurrency();
   return std::clamp<std::size_t>(hw, 1, 8);
@@ -69,10 +72,12 @@ EvalService::EvalService(const GridRegistry& registry, ServiceOptions opts)
 
 EvalService::~EvalService() { stop(true); }
 
-std::future<EvalResult> EvalService::immediate(Status status) {
-  std::promise<EvalResult> p;
-  p.set_value({status, 0});
-  return p.get_future();
+void EvalService::finish(Request& req, Status status) {
+  if (status != Status::kOk)
+    for (EvalResult& r : req.results)
+      if (r.status == Status::kOk) r.status = status;
+  req.queued = 0;
+  req.promise.set_value(std::move(req.results));
 }
 
 std::future<EvalResult> EvalService::submit(const std::string& name,
@@ -87,82 +92,115 @@ std::future<EvalResult> EvalService::submit(const std::string& name,
 std::future<EvalResult> EvalService::submit(const std::string& name,
                                             CoordVector point,
                                             Clock::time_point deadline) {
-  counters_.submitted.fetch_add(1, std::memory_order_relaxed);
+  std::vector<CoordVector> frame;
+  frame.push_back(std::move(point));
+  return std::async(
+      std::launch::deferred,
+      [results = submit_batch(name, std::move(frame), deadline)]() mutable {
+        return results.get().front();
+      });
+}
+
+std::future<std::vector<EvalResult>> EvalService::submit_batch(
+    const std::string& name, std::vector<CoordVector> points,
+    Clock::time_point deadline) {
+  const auto count = [](LiveCounter& c, std::size_t n) {
+    c.fetch_add(n, std::memory_order_relaxed);
+  };
+  Request req;
+  req.results.assign(points.size(), EvalResult{});
+  req.queued = points.size();
+  req.deadline = deadline;
+  std::future<std::vector<EvalResult>> future = req.promise.get_future();
+  count(counters_.submitted, req.queued);
+
   std::shared_ptr<const GridEntry> entry = registry_.find(name);
   if (entry == nullptr) {
-    counters_.not_found.fetch_add(1, std::memory_order_relaxed);
-    return immediate(Status::kNotFound);
+    count(counters_.not_found, req.queued);
+    finish(req, Status::kNotFound);
+    return future;
   }
-  if (!valid_point(*entry, point)) {
-    counters_.invalid.fetch_add(1, std::memory_order_relaxed);
-    return immediate(Status::kInvalid);
+  for (std::size_t k = 0; k < points.size(); ++k)
+    if (!valid_point(*entry, points[k])) {
+      req.results[k].status = Status::kInvalid;
+      --req.queued;
+    }
+  count(counters_.invalid, points.size() - req.queued);
+  if (req.queued == 0) {
+    finish(req, Status::kOk);
+    return future;
   }
   // Admission control: a request that is already past its deadline can only
   // ever complete as kTimeout, so shed it here instead of letting it occupy
   // queue capacity until a batch forms. shed_at_admission is a subset of
   // timed_out — the total deadline-failure count is unchanged.
   if (deadline != kNoDeadline && deadline <= Clock::now()) {
-    counters_.shed_at_admission.fetch_add(1, std::memory_order_relaxed);
-    counters_.timed_out.fetch_add(1, std::memory_order_relaxed);
-    return immediate(Status::kTimeout);
-  }
-
-  Request req;
-  req.entry = std::move(entry);
-  req.point = std::move(point);
-  req.deadline = deadline;
-  std::future<EvalResult> future = req.promise.get_future();
-
-  Shard& shard = *shards_[shard_of(name)];
-  shard.counters.submits.fetch_add(1, std::memory_order_relaxed);
-  UniqueMutexLock lock(shard.mutex);
-  if (shard.stopped || shard.stopping) {
-    lock.unlock();
-    counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-    shard.counters.rejections.fetch_add(1, std::memory_order_relaxed);
-    req.promise.set_value({Status::kRejected, 0});
+    count(counters_.shed_at_admission, req.queued);
+    count(counters_.timed_out, req.queued);
+    finish(req, Status::kTimeout);
     return future;
   }
-  if (shard.queue.size() >= opts_.queue_capacity) {
-    if (opts_.overflow == OverflowPolicy::kReject) {
-      lock.unlock();
-      counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-      shard.counters.rejections.fetch_add(1, std::memory_order_relaxed);
-      req.promise.set_value({Status::kRejected, 0});
-      return future;
-    }
-    // Backpressure: hold the producer until space frees, the service
+  req.entry = std::move(entry);
+  req.points = std::move(points);
+
+  Shard& shard = *shards_[shard_of(name)];
+  count(shard.counters.submits, req.queued);
+  const auto reject = [&](std::size_t n) {
+    count(counters_.rejected, n);
+    count(shard.counters.rejections, n);
+  };
+  UniqueMutexLock lock(shard.mutex);
+  if (opts_.overflow == OverflowPolicy::kBlock &&
+      !submit_unblocked(shard, req.queued)) {
+    // Backpressure: hold the producer until the frame fits, the service
     // stops, or the request's own deadline expires while waiting. The wait
     // loops are spelled out so the guarded reads in the conditions are
     // checked against the held lock (see CondVar in thread_annotations.hpp).
+    bool unblocked = true;
     if (req.deadline == kNoDeadline) {
-      while (!submit_unblocked(shard)) shard.not_full.wait(lock);
+      while (!submit_unblocked(shard, req.queued)) shard.not_full.wait(lock);
     } else {
-      bool unblocked = true;
-      while (!(unblocked = submit_unblocked(shard))) {
+      while (!(unblocked = submit_unblocked(shard, req.queued))) {
         if (shard.not_full.wait_until(lock, req.deadline) ==
             std::cv_status::timeout) {
-          unblocked = submit_unblocked(shard);
+          unblocked = submit_unblocked(shard, req.queued);
           break;
         }
       }
-      if (!unblocked) {
-        lock.unlock();
-        counters_.timed_out.fetch_add(1, std::memory_order_relaxed);
-        req.promise.set_value({Status::kTimeout, 0});
-        return future;
-      }
     }
-    if (shard.stopping || shard.stopped) {
+    if (!unblocked) {
       lock.unlock();
-      counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-      shard.counters.rejections.fetch_add(1, std::memory_order_relaxed);
-      req.promise.set_value({Status::kRejected, 0});
+      count(counters_.timed_out, req.queued);
+      finish(req, Status::kTimeout);
       return future;
     }
   }
+  if (shard.stopped || shard.stopping) {
+    lock.unlock();
+    reject(req.queued);
+    finish(req, Status::kRejected);
+    return future;
+  }
+  if (opts_.overflow == OverflowPolicy::kReject &&
+      shard.queued_points + req.queued > opts_.queue_capacity) {
+    // Load shedding per point: the frame's first `room` queued points keep
+    // their place, the rest are rejected.
+    const std::size_t room = opts_.queue_capacity - shard.queued_points;
+    std::size_t kept = 0;
+    for (EvalResult& r : req.results)
+      if (r.status == Status::kOk && kept++ >= room)
+        r.status = Status::kRejected;
+    reject(req.queued - room);
+    req.queued = room;
+    if (req.queued == 0) {
+      lock.unlock();
+      finish(req, Status::kOk);
+      return future;
+    }
+  }
+  shard.queued_points += req.queued;
+  const std::size_t depth = shard.queued_points;
   shard.queue.push_back(std::move(req));
-  const auto depth = shard.queue.size();
   lock.unlock();
   raise_max(shard.counters.max_queue_depth, depth);
   shard.not_empty.notify_one();
@@ -193,10 +231,11 @@ void EvalService::stop(bool drain) {
       // Fail everything still queued; nothing new can arrive once
       // stopping is visible.
       for (Request& req : shard.queue) {
-        counters_.cancelled.fetch_add(1, std::memory_order_relaxed);
-        req.promise.set_value({Status::kCancelled, 0});
+        counters_.cancelled.fetch_add(req.queued, std::memory_order_relaxed);
+        finish(req, Status::kCancelled);
       }
       shard.queue.clear();
+      shard.queued_points = 0;
     }
     shard.stopping = true;
     for (std::thread& t : shard.workers) workers.push_back(std::move(t));
@@ -215,11 +254,12 @@ void EvalService::stop(bool drain) {
     if (shard.stopped) continue;
     for (Request& req : shard.queue) {
       if (drain) {
-        counters_.cancelled.fetch_add(1, std::memory_order_relaxed);
-        req.promise.set_value({Status::kCancelled, 0});
+        counters_.cancelled.fetch_add(req.queued, std::memory_order_relaxed);
+        finish(req, Status::kCancelled);
       }
     }
     shard.queue.clear();
+    shard.queued_points = 0;
     shard.stopping = false;
     shard.stopped = true;
   }
@@ -239,7 +279,7 @@ std::size_t EvalService::pending() const {
   for (const auto& sp : shards_) {
     const Shard& shard = *sp;
     MutexLock lock(shard.mutex);
-    total += shard.queue.size();
+    total += shard.queued_points;
   }
   return total;
 }
@@ -251,92 +291,90 @@ ServiceStats EvalService::stats() const {
   return s;
 }
 
-void EvalService::collect_locked(Shard& shard, const GridEntry* entry,
-                                 std::vector<Request>& batch) {
-  for (auto it = shard.queue.begin();
-       it != shard.queue.end() && batch.size() < opts_.max_batch_points;) {
-    if (it->entry.get() == entry) {
-      batch.push_back(std::move(*it));
-      it = shard.queue.erase(it);
-    } else {
-      ++it;
+void EvalService::take_batch_locked(Shard& shard,
+                                    std::vector<Request>& batch) {
+  // One pass: requests of the front request's grid move into the batch and
+  // every other request slides down over the gaps they leave, so the queue
+  // keeps its order and [keep, it) ends up holding only moved-from slots.
+  const GridEntry* entry = shard.queue.front().entry.get();
+  std::size_t points = 0;
+  auto keep = shard.queue.begin();
+  auto it = keep;
+  for (; it != shard.queue.end(); ++it) {
+    if (it->entry.get() != entry) {
+      if (keep != it) *keep = std::move(*it);
+      ++keep;
+      continue;
     }
+    if (points > 0 && points + it->queued > opts_.max_batch_points) break;
+    points += it->queued;
+    batch.push_back(std::move(*it));
   }
+  shard.queue.erase(keep, it);
+  shard.queued_points -= points;
 }
 
 void EvalService::worker_loop(Shard& shard) {
+  Batch batch;  // reused: steady-state batches allocate no buffers
   for (;;) {
-    UniqueMutexLock lock(shard.mutex);
-    while (!shard.stopping && shard.queue.empty()) shard.not_empty.wait(lock);
-    if (shard.queue.empty()) return;  // stopping and fully drained
-
-    // Seed the batch with the oldest request's grid, then sweep the queue
-    // for that grid's other requests.
-    const GridEntry* entry = shard.queue.front().entry.get();
-    std::vector<Request> batch;
-    batch.reserve(std::min(opts_.max_batch_points, shard.queue.size()));
-    collect_locked(shard, entry, batch);
-
-    if (batch.size() < opts_.max_batch_points &&
-        opts_.batch_window.count() > 0 && !shard.stopping) {
-      // Partial batch: wait (bounded) for stragglers of the same grid.
-      const auto until = Clock::now() + opts_.batch_window;
-      while (batch.size() < opts_.max_batch_points && !shard.stopping) {
-        if (shard.not_empty.wait_until(lock, until) ==
-            std::cv_status::timeout) {
-          collect_locked(shard, entry, batch);
-          break;
-        }
-        collect_locked(shard, entry, batch);
-      }
+    {
+      UniqueMutexLock lock(shard.mutex);
+      while (!shard.stopping && shard.queue.empty())
+        shard.not_empty.wait(lock);
+      if (shard.queue.empty()) return;  // stopping and fully drained
+      take_batch_locked(shard, batch.requests);
     }
-    lock.unlock();
     // Space freed for blocked producers regardless of batch outcome.
     shard.not_full.notify_all();
-    run_batch(std::move(batch));
+    run_batch(batch);
   }
 }
 
-void EvalService::run_batch(std::vector<Request> batch) {
+void EvalService::run_batch(Batch& batch) {
   const auto now = Clock::now();
   // Deadlines are checked once, at batch formation: an expired request is
-  // completed as kTimeout and never pays for evaluation.
-  std::vector<Request> live;
-  live.reserve(batch.size());
-  for (Request& req : batch) {
+  // completed as kTimeout and never pays for evaluation. The others' queued
+  // points move into the gather buffer in request order.
+  batch.points.clear();
+  for (Request& req : batch.requests) {
     if (req.deadline < now) {
-      counters_.timed_out.fetch_add(1, std::memory_order_relaxed);
-      req.promise.set_value({Status::kTimeout, 0});
-    } else {
-      live.push_back(std::move(req));
+      counters_.timed_out.fetch_add(req.queued, std::memory_order_relaxed);
+      finish(req, Status::kTimeout);
+      continue;
     }
+    for (std::size_t k = 0; k < req.results.size(); ++k)
+      if (req.results[k].status == Status::kOk)
+        batch.points.push_back(std::move(req.points[k]));
   }
-  if (live.empty()) return;
+  const std::size_t live = batch.points.size();
+  if (live > 0) {
+    const GridEntry& entry = *batch.requests.front().entry;
+    const std::span<const real_t> coeffs(entry.storage.data(),
+                                         entry.storage.values().size());
+    // The batch runs through the SoA batch kernel (DESIGN.md §14) on this
+    // worker's thread: it transposes its blocks into a thread-local
+    // PointBlock arena that outlives the batch, so steady-state serving
+    // does zero per-batch point-layout allocation (bench_serve pins this
+    // with PointBlock::allocation_count()).
+    batch.values.assign(live, 0);
+    evaluate_blocked_into(*entry.plan, coeffs, batch.points, kBlockPoints,
+                          batch.values);
 
-  const GridEntry& entry = *live.front().entry;
-  std::vector<CoordVector> points;
-  points.reserve(live.size());
-  for (const Request& req : live) points.push_back(req.point);
-
-  const std::span<const real_t> coeffs(entry.storage.data(),
-                                       entry.storage.values().size());
-  // The coalesced batch runs through the SoA batch kernel (DESIGN.md §14)
-  // on this worker's thread: it transposes its blocks into a thread-local
-  // PointBlock arena that outlives the batch, so steady-state serving does
-  // zero per-batch point-layout allocation (bench_serve pins this with
-  // PointBlock::allocation_count()).
-  const std::vector<real_t> values =
-      evaluate_many_blocked(*entry.plan, coeffs, points);
-
-  // Account the batch before fulfilling any promise: a caller that joins
-  // the futures and then reads stats() must see this batch counted.
-  counters_.batches_formed.fetch_add(1, std::memory_order_relaxed);
-  counters_.batched_points.fetch_add(live.size(), std::memory_order_relaxed);
-  raise_max(counters_.max_batch, live.size());
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    counters_.completed.fetch_add(1, std::memory_order_relaxed);
-    live[k].promise.set_value({Status::kOk, values[k]});
+    // Account the batch before fulfilling any promise: a caller that joins
+    // the futures and then reads stats() must see this batch counted.
+    counters_.batches_formed.fetch_add(1, std::memory_order_relaxed);
+    counters_.batched_points.fetch_add(live, std::memory_order_relaxed);
+    counters_.completed.fetch_add(live, std::memory_order_relaxed);
+    raise_max(counters_.max_batch, live);
   }
+  std::size_t at = 0;
+  for (Request& req : batch.requests) {
+    if (req.queued == 0) continue;  // timed out above
+    for (EvalResult& r : req.results)
+      if (r.status == Status::kOk) r.value = batch.values[at++];
+    finish(req, Status::kOk);
+  }
+  batch.requests.clear();
 }
 
 }  // namespace csg::serve

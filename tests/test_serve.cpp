@@ -137,7 +137,6 @@ TEST(EvalService, ResultsBitIdenticalToSequentialEvaluate) {
   ServiceOptions opts;
   opts.workers = 2;
   opts.max_batch_points = 16;
-  opts.batch_window = std::chrono::microseconds(100);
   EvalService service(reg, opts);
 
   const auto pts = workloads::uniform_points(3, 200, 11);
@@ -212,7 +211,6 @@ TEST(EvalService, PausedStartGivesDeterministicBatchAccounting) {
   opts.workers = 2;
   opts.queue_capacity = 1024;
   opts.max_batch_points = 32;
-  opts.batch_window = std::chrono::microseconds(0);
   EvalService service(reg, opts);
 
   const auto pts = workloads::uniform_points(2, 100, 7);
@@ -278,7 +276,6 @@ TEST(EvalService, FullShardRejectsWhileOtherShardsKeepServing) {
   opts.shard_count = 4;
   opts.queue_capacity = 8;  // per shard
   opts.overflow = OverflowPolicy::kReject;
-  opts.batch_window = std::chrono::microseconds(0);
   EvalService service(reg, opts);
   ASSERT_EQ(service.shard_count(), 4u);
 
@@ -343,7 +340,6 @@ TEST(EvalService, BlockPolicyAppliesBackpressureInsteadOfRejecting) {
   opts.queue_capacity = 4;
   opts.overflow = OverflowPolicy::kBlock;
   opts.max_batch_points = 4;
-  opts.batch_window = std::chrono::microseconds(0);
   EvalService service(reg, opts);
 
   const auto pts = workloads::uniform_points(2, 12, 5);
@@ -529,14 +525,22 @@ TEST(EvalService, CountersReconcileAcrossEveryOutcome) {
   GridRegistry reg;
   reg.add("a", make_grid(2, 3));
   const auto pt = CoordVector{0.25, 0.75};
+  const auto bad = CoordVector{0.5, 1.5};
+  const auto none = EvalService::kNoDeadline;
   const auto statuses = [](std::vector<std::future<EvalResult>>& fs) {
     std::vector<Status> out;
     for (auto& f : fs) out.push_back(f.get().status);
     return out;
   };
+  const auto frame_statuses = [](std::future<std::vector<EvalResult>>& f) {
+    std::vector<Status> out;
+    for (const EvalResult& r : f.get()) out.push_back(r.status);
+    return out;
+  };
+  using S = Status;
 
   // Paused, rejecting, two shards: grid "a" fills its shard's queue while
-  // grid `b` lands on the other shard.
+  // grid `b` lands on the other shard. Per-point submits and frames mix.
   ServiceOptions opts;
   opts.start_paused = true;
   opts.shard_count = 2;
@@ -548,71 +552,318 @@ TEST(EvalService, CountersReconcileAcrossEveryOutcome) {
     reg.add(b, make_grid(2, 3));
 
     const auto now = EvalService::Clock::now();
+    const auto past = now - std::chrono::milliseconds(1);
     std::vector<std::future<EvalResult>> not_found, invalid, shed, expiring,
         ok, full, post_stop;
     not_found.push_back(service.submit("missing", pt));
-    for (int k = 0; k < 2; ++k)
-      invalid.push_back(service.submit("a", CoordVector{0.5, 1.5}));
-    for (int k = 0; k < 3; ++k)
-      shed.push_back(
-          service.submit("a", pt, now - std::chrono::milliseconds(1)));
+    auto f_missing = service.submit_batch("missing", {pt, pt}, none);
+    for (int k = 0; k < 2; ++k) invalid.push_back(service.submit("a", bad));
+    for (int k = 0; k < 3; ++k) shed.push_back(service.submit("a", pt, past));
+    auto f_shed = service.submit_batch("a", {pt, bad}, past);
     for (int k = 0; k < 2; ++k)  // queued, then expire before a batch forms
       expiring.push_back(service.submit(
           "a", pt, EvalService::Clock::now() + std::chrono::milliseconds(100)));
     for (int k = 0; k < 4; ++k) ok.push_back(service.submit("a", pt));
     for (int k = 0; k < 2; ++k) full.push_back(service.submit("a", pt));
+    auto f_full = service.submit_batch("a", {pt, pt}, none);
     for (int k = 0; k < 3; ++k) ok.push_back(service.submit(b, pt));
+    auto f_mixed = service.submit_batch(b, {pt, bad, pt}, none);
+    auto f_overflow = service.submit_batch(b, {pt, pt, pt}, none);  // 1 left
+    EXPECT_EQ(service.pending(), 12u);
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     service.start();
 
-    EXPECT_EQ(statuses(not_found), std::vector<Status>(1, Status::kNotFound));
-    EXPECT_EQ(statuses(invalid), std::vector<Status>(2, Status::kInvalid));
-    EXPECT_EQ(statuses(shed), std::vector<Status>(3, Status::kTimeout));
-    EXPECT_EQ(statuses(expiring), std::vector<Status>(2, Status::kTimeout));
-    EXPECT_EQ(statuses(ok), std::vector<Status>(7, Status::kOk));
-    EXPECT_EQ(statuses(full), std::vector<Status>(2, Status::kRejected));
+    EXPECT_EQ(statuses(not_found), std::vector<Status>(1, S::kNotFound));
+    EXPECT_EQ(frame_statuses(f_missing), std::vector<Status>(2, S::kNotFound));
+    EXPECT_EQ(statuses(invalid), std::vector<Status>(2, S::kInvalid));
+    EXPECT_EQ(statuses(shed), std::vector<Status>(3, S::kTimeout));
+    EXPECT_EQ(frame_statuses(f_shed),
+              (std::vector<Status>{S::kTimeout, S::kInvalid}));
+    EXPECT_EQ(statuses(expiring), std::vector<Status>(2, S::kTimeout));
+    EXPECT_EQ(statuses(ok), std::vector<Status>(7, S::kOk));
+    EXPECT_EQ(statuses(full), std::vector<Status>(2, S::kRejected));
+    EXPECT_EQ(frame_statuses(f_full), std::vector<Status>(2, S::kRejected));
+    EXPECT_EQ(frame_statuses(f_mixed),
+              (std::vector<Status>{S::kOk, S::kInvalid, S::kOk}));
+    EXPECT_EQ(frame_statuses(f_overflow),
+              (std::vector<Status>{S::kOk, S::kRejected, S::kRejected}));
     service.stop(true);
     post_stop.push_back(service.submit("a", pt));
     post_stop.push_back(service.submit(b, pt));
-    EXPECT_EQ(statuses(post_stop), std::vector<Status>(2, Status::kRejected));
+    auto f_post = service.submit_batch("a", {pt, bad}, none);
+    EXPECT_EQ(statuses(post_stop), std::vector<Status>(2, S::kRejected));
+    EXPECT_EQ(frame_statuses(f_post),
+              (std::vector<Status>{S::kRejected, S::kInvalid}));
 
     const ServiceStats st = service.stats();
     expect_reconciled(st);
-    EXPECT_EQ(st.submitted, 19u);
-    EXPECT_EQ(st.completed, 7u);
-    EXPECT_EQ(st.rejected, 4u);
-    EXPECT_EQ(st.timed_out, 5u);
-    EXPECT_EQ(st.shed_at_admission, 3u);
-    EXPECT_EQ(st.not_found, 1u);
-    EXPECT_EQ(st.invalid, 2u);
+    EXPECT_EQ(st.submitted, 33u);
+    EXPECT_EQ(st.completed, 10u);
+    EXPECT_EQ(st.rejected, 9u);
+    EXPECT_EQ(st.timed_out, 6u);
+    EXPECT_EQ(st.shed_at_admission, 4u);
+    EXPECT_EQ(st.not_found, 3u);
+    EXPECT_EQ(st.invalid, 5u);
     EXPECT_EQ(st.cancelled, 0u);
-    EXPECT_EQ(st.shards[service.shard_of("a")].rejections, 3u);
-    EXPECT_EQ(st.shards[service.shard_of(b)].rejections, 1u);
+    EXPECT_EQ(st.shards[service.shard_of("a")].rejections, 6u);
+    EXPECT_EQ(st.shards[service.shard_of(b)].rejections, 3u);
+    EXPECT_EQ(st.shards[service.shard_of("a")].max_queue_depth, 6u);
+    EXPECT_EQ(st.shards[service.shard_of(b)].max_queue_depth, 6u);
   }
 
-  // Paused, blocking: a producer times out waiting for space, a hard stop
-  // cancels the queue, and the stopped service rejects.
+  // Paused, blocking: a point and a frame time out waiting for space, a
+  // hard stop cancels the queue, and the stopped service rejects.
   opts.shard_count = 1;
-  opts.queue_capacity = 2;
+  opts.queue_capacity = 3;
   opts.overflow = OverflowPolicy::kBlock;
   EvalService service(reg, opts);
   std::vector<std::future<EvalResult>> queued, blocked, post_stop;
   for (int k = 0; k < 2; ++k) queued.push_back(service.submit("a", pt));
+  auto f_queued = service.submit_batch("a", {pt, bad}, none);
   blocked.push_back(service.submit(
       "a", pt, EvalService::Clock::now() + std::chrono::milliseconds(20)));
+  auto f_blocked = service.submit_batch(
+      "a", {pt, pt},
+      EvalService::Clock::now() + std::chrono::milliseconds(20));
+  EXPECT_EQ(service.pending(), 3u);
   service.stop(/*drain=*/false);
   post_stop.push_back(service.submit("a", pt));
-  EXPECT_EQ(statuses(queued), std::vector<Status>(2, Status::kCancelled));
-  EXPECT_EQ(statuses(blocked), std::vector<Status>(1, Status::kTimeout));
-  EXPECT_EQ(statuses(post_stop), std::vector<Status>(1, Status::kRejected));
+  auto f_post = service.submit_batch("a", {pt, pt}, none);
+  EXPECT_EQ(statuses(queued), std::vector<Status>(2, S::kCancelled));
+  EXPECT_EQ(frame_statuses(f_queued),
+            (std::vector<Status>{S::kCancelled, S::kInvalid}));
+  EXPECT_EQ(statuses(blocked), std::vector<Status>(1, S::kTimeout));
+  EXPECT_EQ(frame_statuses(f_blocked), std::vector<Status>(2, S::kTimeout));
+  EXPECT_EQ(statuses(post_stop), std::vector<Status>(1, S::kRejected));
+  EXPECT_EQ(frame_statuses(f_post), std::vector<Status>(2, S::kRejected));
 
   const ServiceStats st = service.stats();
   expect_reconciled(st);
-  EXPECT_EQ(st.submitted, 4u);
-  EXPECT_EQ(st.cancelled, 2u);
-  EXPECT_EQ(st.timed_out, 1u);
+  EXPECT_EQ(st.submitted, 10u);
+  EXPECT_EQ(st.cancelled, 3u);
+  EXPECT_EQ(st.timed_out, 3u);
   EXPECT_EQ(st.shed_at_admission, 0u);
-  EXPECT_EQ(st.rejected, 1u);
+  EXPECT_EQ(st.invalid, 1u);
+  EXPECT_EQ(st.rejected, 3u);
+}
+
+/// What one frame's admission came to.
+struct Admission {
+  std::vector<Status> statuses;
+  std::size_t pending = 0;  ///< queued points right after submission
+  ServiceStats stats;
+};
+
+/// One frame's admission on a fresh paused one-shard service, submitted
+/// either whole (submit_batch) or point by point (submit) in order, after
+/// `prefill` queued points on grid "f". The service is then started or
+/// hard-stopped and the outcome collected.
+Admission admit(const GridRegistry& reg, ServiceOptions opts,
+                std::size_t prefill, const std::string& grid,
+                const std::vector<CoordVector>& frame,
+                EvalService::Clock::time_point deadline, bool cancel,
+                bool whole) {
+  opts.start_paused = true;
+  opts.shard_count = 1;
+  EvalService service(reg, opts);
+  std::vector<std::future<EvalResult>> pre, points;
+  for (std::size_t k = 0; k < prefill; ++k)
+    pre.push_back(service.submit("f", CoordVector{0.5, 0.5}));
+  std::future<std::vector<EvalResult>> results;
+  if (whole)
+    results = service.submit_batch(grid, frame, deadline);
+  else
+    for (const CoordVector& x : frame)
+      points.push_back(service.submit(grid, x, deadline));
+  Admission out;
+  out.pending = service.pending();
+  if (cancel)
+    service.stop(/*drain=*/false);
+  else
+    service.start();
+  if (whole)
+    for (const EvalResult& r : results.get()) out.statuses.push_back(r.status);
+  else
+    for (auto& f : points) out.statuses.push_back(f.get().status);
+  for (auto& f : pre) (void)f.get();
+  service.stop(true);
+  out.stats = service.stats();
+  return out;
+}
+
+TEST(EvalService, FrameAdmissionMatchesPerPointSubmitsInOrder) {
+  GridRegistry reg;
+  reg.add("f", make_grid(2, 3));
+  const CoordVector ok{0.25, 0.75}, wrong_dim{0.5}, outside{0.5, 1.5};
+  const std::vector<CoordVector> mixed = {ok, wrong_dim, ok, ok, outside,
+                                          ok, ok};
+  const auto now = EvalService::Clock::now();
+  const auto past = now - std::chrono::milliseconds(1);
+  const auto later = now + std::chrono::minutes(10);
+  using S = Status;
+
+  ServiceOptions roomy;
+  ServiceOptions tight;  // 2 prefilled + 3 of the frame's 5 valid points
+  tight.queue_capacity = 5;
+  tight.overflow = OverflowPolicy::kReject;
+
+  struct Case {
+    const char* what;
+    ServiceOptions opts;
+    std::size_t prefill;
+    std::string grid;
+    EvalService::Clock::time_point deadline;
+    bool cancel;
+    std::vector<Status> want;
+    std::size_t want_pending;
+  };
+  const std::vector<Case> cases = {
+      {"mixed", roomy, 0, "f", later, false,
+       {S::kOk, S::kInvalid, S::kOk, S::kOk, S::kInvalid, S::kOk, S::kOk}, 5},
+      {"unknown grid", roomy, 0, "nope", later, false,
+       std::vector<Status>(7, S::kNotFound), 0},
+      {"expired deadline", roomy, 1, "f", past, false,
+       {S::kTimeout, S::kInvalid, S::kTimeout, S::kTimeout, S::kInvalid,
+        S::kTimeout, S::kTimeout},
+       1},
+      {"overflow mid-frame", tight, 2, "f", later, false,
+       {S::kOk, S::kInvalid, S::kOk, S::kOk, S::kInvalid, S::kRejected,
+        S::kRejected},
+       5},
+      {"hard stop", roomy, 2, "f", later, true,
+       {S::kCancelled, S::kInvalid, S::kCancelled, S::kCancelled, S::kInvalid,
+        S::kCancelled, S::kCancelled},
+       7},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const Admission frame =
+        admit(reg, c.opts, c.prefill, c.grid, mixed, c.deadline, c.cancel,
+              /*whole=*/true);
+    const Admission single =
+        admit(reg, c.opts, c.prefill, c.grid, mixed, c.deadline, c.cancel,
+              /*whole=*/false);
+    EXPECT_EQ(frame.statuses, c.want);
+    EXPECT_EQ(single.statuses, c.want);
+    EXPECT_EQ(frame.pending, c.want_pending);
+    EXPECT_EQ(single.pending, c.want_pending);
+    expect_reconciled(frame.stats);
+    ServiceStats::fields(
+        [](const char* name, std::uint64_t f, std::uint64_t p) {
+          EXPECT_EQ(f, p) << name;
+        },
+        frame.stats, single.stats);
+    ASSERT_EQ(frame.stats.shards.size(), 1u);
+    ASSERT_EQ(single.stats.shards.size(), 1u);
+    ServiceStats::ShardStats::fields(
+        [](const char* name, std::uint64_t f, std::uint64_t p) {
+          EXPECT_EQ(f, p) << "shard." << name;
+        },
+        frame.stats.shards[0], single.stats.shards[0]);
+  }
+}
+
+TEST(EvalService, BlockPolicyAdmitsAFrameLargerThanTheQueue) {
+  GridRegistry reg;
+  reg.add("f", make_grid(2, 3));
+  const auto entry = reg.find("f");
+  const auto pts = workloads::uniform_points(2, 10, 47);
+
+  ServiceOptions opts;
+  opts.start_paused = true;
+  opts.shard_count = 1;
+  opts.queue_capacity = 4;
+  opts.overflow = OverflowPolicy::kBlock;
+  EvalService service(reg, opts);
+
+  // The producer submits two oversized frames. Hang guard: a frame that
+  // is never admitted would block it forever, so every wait is bounded and
+  // a hard stop releases the producer; the test then fails, not hangs.
+  std::promise<void> first_in, second_in;
+  std::future<void> first_admitted = first_in.get_future();
+  std::future<void> second_admitted = second_in.get_future();
+  std::future<std::vector<EvalResult>> first, second;
+  std::thread producer([&] {
+    first = service.submit_batch("f", pts, EvalService::kNoDeadline);
+    first_in.set_value();
+    second = service.submit_batch("f", pts, EvalService::kNoDeadline);
+    second_in.set_value();
+  });
+  const auto admitted_within = [&](std::future<void>& f,
+                                   std::chrono::milliseconds limit) {
+    if (f.wait_for(limit) == std::future_status::ready) return true;
+    ADD_FAILURE() << "an oversized frame was never admitted under kBlock";
+    service.stop(/*drain=*/false);
+    return false;
+  };
+
+  // An empty queue takes a frame of any size at once...
+  if (admitted_within(first_admitted, std::chrono::seconds(10))) {
+    EXPECT_EQ(service.pending(), 10u);
+    // ...and the second waits until the queue has drained empty.
+    EXPECT_EQ(second_admitted.wait_for(std::chrono::milliseconds(20)),
+              std::future_status::timeout);
+    EXPECT_EQ(service.pending(), 10u);
+    service.start();
+    admitted_within(second_admitted, std::chrono::seconds(10));
+  }
+  producer.join();
+
+  for (auto* f : {&first, &second}) {
+    const std::vector<EvalResult> results = f->get();
+    ASSERT_EQ(results.size(), pts.size());
+    for (std::size_t k = 0; k < pts.size(); ++k) {
+      EXPECT_EQ(results[k].status, Status::kOk) << k;
+      EXPECT_EQ(results[k].value, evaluate(entry->storage, pts[k])) << k;
+    }
+  }
+  const ServiceStats st = service.stats();
+  EXPECT_EQ(st.completed, 20u);
+  EXPECT_EQ(st.rejected, 0u);
+  EXPECT_EQ(st.shards[0].max_queue_depth, 10u);
+}
+
+TEST(EvalService, BatchesTakeWholeFramesUpToTheCap) {
+  GridRegistry reg;
+  reg.add("f", make_grid(3, 4));
+  const auto entry = reg.find("f");
+
+  ServiceOptions opts;
+  opts.start_paused = true;
+  opts.shard_count = 1;
+  opts.workers = 1;
+  opts.max_batch_points = 8;
+  const auto check = [&](std::vector<std::vector<CoordVector>> frames,
+                         std::uint64_t batches, std::uint64_t max_batch) {
+    EvalService service(reg, opts);
+    std::vector<std::future<std::vector<EvalResult>>> futures;
+    for (const auto& frame : frames)
+      futures.push_back(
+          service.submit_batch("f", frame, EvalService::kNoDeadline));
+    service.start();
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const std::vector<EvalResult> results = futures[i].get();
+      ASSERT_EQ(results.size(), frames[i].size());
+      for (std::size_t k = 0; k < results.size(); ++k) {
+        EXPECT_EQ(results[k].status, Status::kOk);
+        // Submission order: slot k answers the frame's k-th point.
+        EXPECT_EQ(results[k].value, evaluate(entry->storage, frames[i][k]))
+            << "frame " << i << " point " << k;
+      }
+    }
+    const ServiceStats st = service.stats();
+    EXPECT_EQ(st.batches_formed, batches);
+    EXPECT_EQ(st.max_batch, max_batch);
+  };
+
+  // Ten 3-point frames: a third frame would make 9 > 8 points, so every
+  // batch stops at two frames.
+  std::vector<std::vector<CoordVector>> threes;
+  for (std::uint32_t i = 0; i < 10; ++i)
+    threes.push_back(workloads::uniform_points(3, 3, 60 + i));
+  check(threes, 5, 6);
+  // A frame larger than the cap is never split: it forms one batch alone.
+  check({workloads::uniform_points(3, 20, 71)}, 1, 20);
 }
 
 // The acceptance stress: many (d, n) shapes served concurrently while the
@@ -650,7 +901,6 @@ TEST(ServeStress, ManyShapesUnderLoadKeepPlanCacheBounded) {
   opts.workers = 3;
   opts.queue_capacity = 4096;
   opts.max_batch_points = 24;
-  opts.batch_window = std::chrono::microseconds(50);
   EvalService service(reg, opts);
 
   constexpr std::size_t kPerProducer = 120;

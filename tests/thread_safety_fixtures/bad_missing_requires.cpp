@@ -1,6 +1,6 @@
 // csg-lint fixture: NOT part of the build. Calls a CSG_REQUIRES(mutex_)
 // method without holding the mutex; must fail under -Wthread-safety
-// -Werror. This is the exact bug class EvalService::collect_locked and
+// -Werror. This is the exact bug class EvalService::take_batch_locked and
 // NetServer::reap_locked used to guard with a "Must hold mutex_" comment.
 #include <deque>
 

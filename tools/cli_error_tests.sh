@@ -105,6 +105,17 @@ expect 2 "usage:" net-bench --port 70000
 expect 2 "usage:" net-bench --shards -1
 expect 2 "usage:" net-bench --in-flight 0
 
+# --- serving commands: unknown flags and dangling values are usage errors ---
+# (--window-us went with the batching window; a stale script must
+# fail loudly, not run with the flag silently ignored.)
+expect 2 "usage:" serve-bench --window-us 200
+expect 2 "usage:" serve-bench --requests 10 --bogus 1
+expect 2 "usage:" serve-bench --requests
+expect 2 "usage:" net-serve --window-us 200
+expect 2 "usage:" net-serve --idle-exit-ms 100 stray
+expect 2 "usage:" net-bench --window-us 200
+expect 2 "usage:" net-bench --policy reject   # a serve-bench-only flag
+
 # --- net-serve: binding an already-bound port is a runtime error (exit 1) ----
 # First server picks an ephemeral port (printed on its banner); the second
 # bind on the same port must fail cleanly while the first is still up.

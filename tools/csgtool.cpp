@@ -23,9 +23,11 @@
 #include <deque>
 #include <fstream>
 #include <future>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -74,11 +76,11 @@ int usage() {
                "                      [--requests R] [--producers P]\n"
                "                      [--workers W] [--queue Q] [--batch B]\n"
                "                      [--shards S (0 = auto)]\n"
-               "                      [--window-us U] [--policy reject|block]\n"
+               "                      [--policy reject|block]\n"
                "                      [--deadline-ms M] [--seed S]\n"
                "  csgtool net-serve [--port P] [--dims D] [--level N]\n"
                "                    [--grids G] [--workers W] [--queue Q]\n"
-               "                    [--batch B] [--window-us U]\n"
+               "                    [--batch B]\n"
                "                    [--shards S (0 = auto)] [--in-flight F]\n"
                "                    [--max-conns C] [--max-points K]\n"
                "                    [--idle-exit-ms I]\n"
@@ -485,9 +487,19 @@ void register_grids(serve::GridRegistry& registry, int grids, dim_t d,
 
 /// The flags every serving command shares (--workers, --queue, --batch,
 /// --shards) with that command's --queue default; nullopt when one is out
-/// of range.
-std::optional<serve::ServiceOptions> service_flags(int argc, char** argv,
-                                                   const char* queue) {
+/// of range, or when argv is not a list of `--flag value` pairs whose
+/// flags are the shared ones or the command's `own`.
+std::optional<serve::ServiceOptions> service_flags(
+    int argc, char** argv, const char* queue,
+    std::initializer_list<std::string_view> own) {
+  if (argc % 2 != 0) return std::nullopt;
+  for (int k = 0; k < argc; k += 2) {
+    const std::string_view flag = argv[k];
+    if (flag != "--workers" && flag != "--queue" && flag != "--batch" &&
+        flag != "--shards" &&
+        std::find(own.begin(), own.end(), flag) == own.end())
+      return std::nullopt;
+  }
   serve::ServiceOptions opts;
   opts.workers = std::atoi(flag_value(argc, argv, "--workers", "2"));
   opts.queue_capacity = static_cast<std::size_t>(
@@ -539,14 +551,15 @@ int cmd_serve_bench(int argc, char** argv) {
   const std::string policy = flag_value(argc, argv, "--policy", "reject");
   const long deadline_ms =
       std::atol(flag_value(argc, argv, "--deadline-ms", "0"));
-  auto parsed = service_flags(argc, argv, "1024");
+  auto parsed = service_flags(argc, argv, "1024",
+                              {"--dims", "--level", "--grids", "--requests",
+                               "--producers", "--seed", "--policy",
+                               "--deadline-ms"});
   if (!parsed || d < 1 || d > kMaxDim || n < 1 || n > kMaxLevel ||
       grids < 1 || requests < 1 || producers < 1 || deadline_ms < 0 ||
       (policy != "reject" && policy != "block"))
     return usage();
   serve::ServiceOptions& opts = *parsed;
-  opts.batch_window = std::chrono::microseconds(
-      std::atoll(flag_value(argc, argv, "--window-us", "200")));
   opts.default_deadline = std::chrono::milliseconds(deadline_ms);
   opts.overflow = policy == "block" ? serve::OverflowPolicy::kBlock
                                     : serve::OverflowPolicy::kReject;
@@ -556,12 +569,10 @@ int cmd_serve_bench(int argc, char** argv) {
   serve::EvalService service(registry, opts);
   std::printf("serve-bench: %d grid(s) d=%u level=%u (%.1f KB registry), "
               "%ld requests, %d producer(s), %zu shard(s) x %d worker(s), "
-              "queue %zu, batch %zu, window %lld us, policy %s\n",
+              "queue %zu, batch %zu, policy %s\n",
               grids, d, n, static_cast<double>(registry.memory_bytes()) / 1e3,
               requests, producers, service.shard_count(), opts.workers,
-              opts.queue_capacity, opts.max_batch_points,
-              static_cast<long long>(opts.batch_window.count()),
-              policy.c_str());
+              opts.queue_capacity, opts.max_batch_points, policy.c_str());
 
   std::vector<std::vector<double>> lat_us(
       static_cast<std::size_t>(producers));
@@ -673,18 +684,18 @@ int cmd_net_serve(int argc, char** argv) {
       std::atol(flag_value(argc, argv, "--idle-exit-ms", "0"));
 
   const long in_flight = std::atol(flag_value(argc, argv, "--in-flight", "8"));
-  auto parsed = service_flags(argc, argv, "1024");
-  if (!parsed || d < 1 || d > kMaxDim || n < 1 || n > kMaxLevel ||
+  const auto opts = service_flags(argc, argv, "1024",
+                                  {"--dims", "--level", "--grids", "--port",
+                                   "--max-conns", "--max-points",
+                                   "--idle-exit-ms", "--in-flight"});
+  if (!opts || d < 1 || d > kMaxDim || n < 1 || n > kMaxLevel ||
       grids < 1 || port < 0 || port > 65535 || max_conns < 1 ||
       max_points < 1 || idle_exit_ms < 0 || in_flight < 1)
     return usage();
-  serve::ServiceOptions& opts = *parsed;
-  opts.batch_window = std::chrono::microseconds(
-      std::atoll(flag_value(argc, argv, "--window-us", "200")));
 
   serve::GridRegistry registry;
   register_grids(registry, grids, d, n);
-  serve::EvalService service(registry, opts);
+  serve::EvalService service(registry, *opts);
 
   net::TcpListener listener(static_cast<std::uint16_t>(port));
   net::NetServerOptions nopts;
@@ -698,7 +709,7 @@ int cmd_net_serve(int argc, char** argv) {
               "%ld frame(s) in flight per connection)\n",
               listener.port(), grids, d, n,
               static_cast<double>(registry.memory_bytes()) / 1e3,
-              service.shard_count(), opts.workers, in_flight);
+              service.shard_count(), opts->workers, in_flight);
   std::fflush(stdout);  // the port line must reach pipes before we block
 
   // Lifetime: exit after --idle-exit-ms of no connections and no traffic
@@ -751,7 +762,11 @@ int cmd_net_bench(int argc, char** argv) {
       std::atoi(flag_value(argc, argv, "--seed", "37")));
 
   const long in_flight = std::atol(flag_value(argc, argv, "--in-flight", "8"));
-  const auto opts = service_flags(argc, argv, "4096");
+  const auto opts = service_flags(
+      argc, argv, "4096",
+      {"--transport", "--dims", "--level", "--grids", "--requests",
+       "--clients", "--points", "--port", "--deadline-ms", "--seed",
+       "--in-flight"});
   if (!opts || (transport != "loopback" && transport != "tcp") || d < 1 ||
       d > kMaxDim || n < 1 || n > kMaxLevel || grids < 1 || requests < 1 ||
       clients < 1 || points < 1 || port < 0 || port > 65535 ||
