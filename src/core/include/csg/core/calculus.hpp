@@ -20,10 +20,11 @@
 
 namespace csg {
 
-/// Value and gradient of the sparse grid function at x. The gradient is
-/// the one-sided derivative within the cell containing x (fs is not
-/// differentiable on grid lines; there the cell to the left of x in each
-/// dimension wins, matching the hat's closed-left convention).
+/// Value and gradient of the sparse grid function at x: the derivative
+/// within the cell containing x. On a grid line x_t * 2^l = k >= 1, the
+/// level-l term takes the slope and coefficient of cell k - 1 (the LEFT
+/// derivative); at x_t = 0 the right one. A scalar walk on purpose: its
+/// callers are single-point, where a one-point kernel block costs more.
 struct ValueAndGradient {
   real_t value;
   CoordVector gradient;

@@ -1,24 +1,24 @@
 // Iterative evaluation (interpolation) of a sparse grid function at
 // arbitrary points of [0,1]^d — paper Alg. 7 with the point blocking of
-// Sec. 4.3.
+// Sec. 4.3 — and its transpose.
 //
 // The sum over all basis functions collapses to one term per subspace: in a
 // regular subspace exactly one hat has the query point in its support, and
 // the coefficient offset advances by 2^j per subspace. The subspaces are
 // visited through an EvaluationPlan — a one-time flattening of the level
-// enumeration into contiguous arrays. Every entry point (one point, a
-// sequential batch, the OpenMP batch in omp_algorithms.hpp, the serving
-// workers) runs the one SoA block kernel below through
-// evaluate_blocked_into; a single point is a one-lane block. The scalar
-// walk and blocked loop the kernel is pinned against are oracles in
-// csg::testing (reference_evaluate.hpp).
+// enumeration into contiguous arrays. One SoA block kernel finds that hat
+// per point and subspace; B * alpha gathers with it (every evaluation entry
+// point: one point, a sequential batch, the OpenMP batch, the serving
+// workers — all through evaluate_blocked_into) and B^T r scatters with it
+// (scatter_blocked_into). The scalar walk and blocked loop the kernel is
+// pinned against are oracles in csg::testing (reference_evaluate.hpp).
 //
-// Coordinates must lie in [0,1]. The bit-identity guarantee covers finite
-// coefficients only: where a point lies on a grid line of a subspace, the
-// kernel still multiplies that subspace's selected coefficient by the
-// exact 0 hat product, so a +-inf or NaN coefficient there yields NaN
-// (0 * inf) where the scalar walk skips the term. Rejecting non-finite
-// data is the caller's job.
+// Coordinates must lie in [0,1] (PointBlock::assign rejects the rest). The
+// bit-identity guarantee covers finite values only: where a point lies on a
+// grid line of a subspace, the kernel still multiplies the selected
+// coefficient by the exact 0 hat product, so a +-inf or NaN coefficient
+// there yields NaN (0 * inf) where the scalar walk skips the term.
+// Rejecting non-finite data is the caller's job.
 #pragma once
 
 #include <cstdint>
@@ -71,6 +71,14 @@ void evaluate_blocked_into(const EvaluationPlan& plan,
                            std::span<const CoordVector> points,
                            std::size_t block_size, std::span<real_t> out);
 
+/// Transposed pass in blocks of 64 points: for each point m in order, add
+/// weights[m] * phi_j(x_m) into out[j] for every hat j holding x_m. Each
+/// out[j] sums its terms in point order, as a scalar loop over points does.
+void scatter_blocked_into(const EvaluationPlan& plan,
+                          std::span<const CoordVector> points,
+                          std::span<const real_t> weights,
+                          std::span<real_t> out);
+
 /// SoA batch kernel (DESIGN.md §14): accumulate the interpolant for every
 /// point of `block` into block.accum(). The inner loops run one subspace
 /// against a full lane of points with `#pragma omp simd`; the boundary and
@@ -83,8 +91,8 @@ void evaluate_block_soa(const EvaluationPlan& plan,
                         std::span<const real_t> coeffs, PointBlock& block);
 
 /// Deterministic SoA kernel tallies (relaxed atomics): blocks and
-/// kPointBlockLane-wide lanes fed through evaluate_block_soa, and subspaces
-/// visited (subspace_count summed over blocks). The benches gate on these.
+/// kPointBlockLane-wide lanes fed through the kernel (gather or scatter),
+/// and subspaces visited (summed over blocks). The benches gate on these.
 struct SoaKernelStats {
   std::uint64_t blocks = 0;
   std::uint64_t lanes = 0;

@@ -41,10 +41,10 @@ class PointBlock {
  public:
   PointBlock() = default;
 
-  /// Transpose `points` (each of dimension d) into the SoA arrays and size
-  /// the basis tables for `levels` levels per dimension (a grid of level n
-  /// needs levels == n), growing capacity only if this block never held a
-  /// (d, levels, size) this large before.
+  /// Transpose `points` (each of dimension d, coordinates in [0,1] and not
+  /// NaN) into the SoA arrays and size the basis tables for `levels` levels
+  /// per dimension (a grid of level n needs levels == n), growing capacity
+  /// only if this block never held a (d, levels, size) this large before.
   void assign(dim_t d, level_t levels, std::span<const CoordVector> points);
 
   dim_t dim() const { return dim_; }

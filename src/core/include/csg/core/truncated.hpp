@@ -9,11 +9,12 @@
 // the already-compact 8 bytes/point — the natural second compression
 // stage for the paper's Fig. 1 storage box.
 //
-// The kept coefficients are stored as sorted (flat index, value) pairs.
-// Evaluation walks subspaces exactly like Alg. 7; because the target flat
-// positions are strictly increasing along the walk, the lookup is a
-// forward merge — O(#subspaces + kept) per evaluation, no hashing, no
-// per-point keys beyond one index word.
+// The kept coefficients are stored as sorted (flat index, value) pairs —
+// no hashing, no per-point keys beyond one index word. The pairs are a
+// storage and transfer format: to evaluate, densify() once and run the
+// dense kernel (csg/core/evaluate.hpp) on the result. Dropped coefficients
+// become exact zeros, whose terms add +-0, so the values are those of the
+// truncated interpolant.
 #pragma once
 
 #include <vector>
@@ -52,9 +53,6 @@ class TruncatedStorage {
   std::size_t memory_bytes() const {
     return indices_.size() * (sizeof(flat_index_t) + sizeof(real_t));
   }
-
-  /// Interpolate at x (Alg. 7 walk + forward index merge).
-  real_t evaluate(const CoordVector& x) const;
 
   /// Expand back to the dense compact representation (dropped
   /// coefficients become exact zeros).

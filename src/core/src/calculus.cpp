@@ -10,19 +10,20 @@ namespace csg {
 namespace {
 
 /// 1d hat value and one-sided derivative at x for the level-l basis with
-/// index i. At the kink (x on the center) and at the support edges the
-/// cell to the LEFT of x decides, so piecewise-constant gradients are
-/// left-continuous.
+/// index i = support_index_1d(l, x). The cell to the LEFT of x decides, so
+/// gradients are left-continuous. On a grid line x = k / 2^l > 0 that is
+/// cell k - 1, not i's cell k (`left_cell`); at x = 0 only cell 0 is left.
 struct HatEval {
   real_t value;
   real_t derivative;
+  bool left_cell;
 };
 
 HatEval hat_value_and_derivative(level_t l, index1d_t i, real_t x) {
   const real_t h_inv = exact_pow2(static_cast<int>(l + 1));
   const real_t u = x * h_inv - static_cast<real_t>(i);
-  if (u <= -1 || u >= 1) return {0, 0};
-  return {1 - std::abs(u), u <= 0 ? h_inv : -h_inv};
+  if (u <= -1) return {0, i == 1 ? h_inv : -h_inv, i != 1};
+  return {1 - std::abs(u), u <= 0 ? h_inv : -h_inv, false};
 }
 
 }  // namespace
@@ -36,18 +37,25 @@ ValueAndGradient evaluate_with_gradient(const CompactStorage& storage,
   ValueAndGradient out{0, CoordVector(d, 0)};
 
   DimVector<real_t> value(d), deriv(d), prefix(d), suffix(d);
+  // left_step[t]: flat distance back to the left cell's hat, else 0.
+  DimVector<flat_index_t> left_step(d);
   flat_index_t index2 = 0;
   for (level_t j = 0; j < n; ++j) {
     LevelVector l = first_level(d, j);
     const std::uint64_t subspaces = grid.subspaces_in_group(j);
     for (std::uint64_t k = 0; k < subspaces; ++k) {
       flat_index_t index1 = 0;
+      level_t levels_so_far = 0;  // one cell of t: 2^(j - sum_{s<=t} l_s)
       for (dim_t t = 0; t < d; ++t) {
+        // csg-lint: allow-next(one-eval-walk) -- single-point gradient, see calculus.hpp
         const index1d_t i = support_index_1d(l[t], x[t]);
         index1 = (index1 << l[t]) + ((i - 1) >> 1);
         const HatEval he = hat_value_and_derivative(l[t], i, x[t]);
         value[t] = he.value;
         deriv[t] = he.derivative;
+        levels_so_far += l[t];
+        left_step[t] =
+            he.left_cell ? flat_index_t{1} << (j - levels_so_far) : 0;
       }
       // prefix[t] = prod_{s<t} value[s], suffix[t] = prod_{s>t} value[s]:
       // no divisions, so zero factors (x on a grid line) stay exact.
@@ -64,7 +72,8 @@ ValueAndGradient evaluate_with_gradient(const CompactStorage& storage,
         acc *= value[t];
       }
       for (dim_t t = 0; t < d; ++t)
-        out.gradient[t] += coeff * prefix[t] * suffix[t] * deriv[t];
+        out.gradient[t] += storage[index2 + index1 - left_step[t]] *
+                           prefix[t] * suffix[t] * deriv[t];
       index2 += grid.points_per_subspace(j);
       if (k + 1 < subspaces) advance_level(l);
     }

@@ -37,18 +37,21 @@ void reset_soa_kernel_stats() {
   g_soa_subspaces.store(0, std::memory_order_relaxed);
 }
 
-void evaluate_block_soa(const EvaluationPlan& plan,
-                        std::span<const real_t> coeffs, PointBlock& block) {
+namespace {
+
+/// Alg. 7 over one block: the table pass, then per subspace the fold pass
+/// and step(offset, idx, prod) — the subspace's first flat position and, per
+/// point, its supporting hat's index in the subspace and value.
+template <typename Step>
+void walk_block(const EvaluationPlan& plan, PointBlock& block, Step&& step) {
   CSG_EXPECTS(block.dim() == plan.dim());
   CSG_EXPECTS(block.levels() == plan.level());
-  CSG_EXPECTS(coeffs.size() >= plan.num_points());
   const dim_t d = plan.dim();
   const level_t n = plan.level();
   const level_t* levels = plan.packed_levels();
   const flat_index_t* offsets = plan.offsets();
   const std::size_t count = plan.subspace_count();
   const std::size_t padded = block.padded_size();
-  real_t* acc = block.accum();
   real_t* prod = block.scratch_products();
   real_t* idx = block.scratch_indices();
   // Row 0 of each dimension's tables; its level-l row sits l * padded later.
@@ -85,10 +88,8 @@ void evaluate_block_soa(const EvaluationPlan& plan,
       }
     }
   }
-  std::fill_n(acc, padded, real_t{0});
   for (std::size_t s = 0; s < count; ++s) {
     const level_t* l = levels + s * d;
-    const real_t* cbase = coeffs.data() + offsets[s];
     // Fold pass: dimension 0's table rows seed the running flat index and
     // hat product, which every later dimension folds its rows into (Horner
     // form over the per-dimension cell counts). The flat index stays below
@@ -108,16 +109,38 @@ void evaluate_block_soa(const EvaluationPlan& plan,
       in_idx = idx;
       in_prod = prod;
     }
-    // Gather the selected coefficient per point and accumulate. Points on a
-    // grid line of this subspace carry prod == 0 and contribute exactly +-0.
-    // scalar fallback: subspace_contribution
-#pragma omp simd
-    for (std::size_t p = 0; p < padded; ++p)
-      acc[p] += in_prod[p] * cbase[static_cast<flat_index_t>(in_idx[p])];
+    step(offsets[s], in_idx, in_prod);
   }
   g_soa_blocks.fetch_add(1, std::memory_order_relaxed);
   g_soa_lanes.fetch_add(block.lanes(), std::memory_order_relaxed);
   g_soa_subspaces.fetch_add(count, std::memory_order_relaxed);
+}
+
+/// The calling thread's evaluation arena: every thread (OpenMP pool
+/// threads, serve workers) keeps one PointBlock alive across its
+/// single-point, batch and scatter calls, so a steady-state stream
+/// transposes in place and performs zero point-layout allocations
+/// (PointBlock::allocation_count() stays flat — bench_serve gates this).
+thread_local PointBlock t_arena;
+
+}  // namespace
+
+void evaluate_block_soa(const EvaluationPlan& plan,
+                        std::span<const real_t> coeffs, PointBlock& block) {
+  CSG_EXPECTS(coeffs.size() >= plan.num_points());
+  real_t* acc = block.accum();
+  const std::size_t padded = block.padded_size();
+  std::fill_n(acc, padded, real_t{0});
+  walk_block(plan, block, [&](flat_index_t offset, const real_t* idx,
+                              const real_t* prod) {
+    // Gather the selected coefficient per point and accumulate. Points on a
+    // grid line of this subspace carry prod == 0 and contribute exactly +-0.
+    const real_t* cbase = coeffs.data() + offset;
+    // scalar fallback: subspace_contribution
+#pragma omp simd
+    for (std::size_t p = 0; p < padded; ++p)
+      acc[p] += prod[p] * cbase[static_cast<flat_index_t>(idx[p])];
+  });
 }
 
 real_t evaluate_span(const EvaluationPlan& plan,
@@ -147,18 +170,35 @@ void evaluate_blocked_into(const EvaluationPlan& plan,
   CSG_EXPECTS(block_size >= 1);
   CSG_EXPECTS(out.size() == points.size());
   CSG_EXPECTS(coeffs.size() >= plan.num_points());
-  // Thread-local arena: every thread (OpenMP pool threads, serve workers)
-  // keeps one PointBlock alive across its single-point and batch calls, so
-  // a steady-state stream transposes in place and performs zero
-  // point-layout allocations (PointBlock::allocation_count() stays flat —
-  // bench_serve gates this).
-  thread_local PointBlock block;
+  PointBlock& block = t_arena;
   for (std::size_t b0 = 0; b0 < points.size(); b0 += block_size) {
     const std::size_t b1 = std::min(b0 + block_size, points.size());
     block.assign(plan.dim(), plan.level(), points.subspan(b0, b1 - b0));
     evaluate_block_soa(plan, coeffs, block);
     const real_t* acc = block.accum();
     for (std::size_t p = b0; p < b1; ++p) out[p] += acc[p - b0];
+  }
+}
+
+void scatter_blocked_into(const EvaluationPlan& plan,
+                          std::span<const CoordVector> points,
+                          std::span<const real_t> weights,
+                          std::span<real_t> out) {
+  CSG_EXPECTS(weights.size() == points.size());
+  CSG_EXPECTS(out.size() >= plan.num_points());
+  constexpr std::size_t kBlock = 64;  // evaluate_many_blocked's default
+  PointBlock& block = t_arena;
+  for (std::size_t b0 = 0; b0 < points.size(); b0 += kBlock) {
+    const std::size_t b1 = std::min(b0 + kBlock, points.size());
+    block.assign(plan.dim(), plan.level(), points.subspan(b0, b1 - b0));
+    const real_t* w = weights.data() + b0;
+    walk_block(plan, block, [&](flat_index_t offset, const real_t* idx,
+                                const real_t* prod) {
+      // Scalar and in point order: two points may select the same hat.
+      real_t* obase = out.data() + offset;
+      for (std::size_t p = 0; p < b1 - b0; ++p)
+        obase[static_cast<flat_index_t>(idx[p])] += w[p] * prod[p];
+    });
   }
 }
 

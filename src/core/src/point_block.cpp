@@ -43,8 +43,10 @@ void PointBlock::assign(dim_t d, level_t levels,
   for (std::size_t p = 0; p < size_; ++p) {
     const CoordVector& x = points[p];
     CSG_EXPECTS(x.size() == d);
-    for (dim_t t = 0; t < d; ++t)
+    for (dim_t t = 0; t < d; ++t) {
+      CSG_EXPECTS(x[t] >= 0 && x[t] <= 1);  // NaN fails too
       base[static_cast<std::size_t>(t) * stride_ + p] = x[t];
+    }
   }
   // Pad the tail with coordinate 0 (hat product 0 in every subspace).
   for (dim_t t = 0; t < d; ++t)

@@ -1,9 +1,7 @@
 #include "csg/core/truncated.hpp"
 
+#include <algorithm>
 #include <cmath>
-
-#include "csg/core/grid_point.hpp"
-#include "csg/core/level_enumeration.hpp"
 
 namespace csg {
 
@@ -45,38 +43,6 @@ TruncatedStorage::TruncatedStorage(RegularSparseGrid grid,
     CSG_EXPECTS(indices_[k] < grid_.num_points());
     CSG_EXPECTS(k == 0 || indices_[k - 1] < indices_[k]);
   }
-}
-
-real_t TruncatedStorage::evaluate(const CoordVector& x) const {
-  CSG_EXPECTS(x.size() == grid_.dim());
-  const dim_t d = grid_.dim();
-  real_t res = 0;
-  std::size_t cursor = 0;  // forward merge into the sorted survivors
-  flat_index_t index2 = 0;
-  for (level_t j = 0; j < grid_.level(); ++j) {
-    LevelVector l = first_level(d, j);
-    const std::uint64_t subspaces = grid_.subspaces_in_group(j);
-    for (std::uint64_t k = 0; k < subspaces; ++k) {
-      real_t prod = 1;
-      flat_index_t index1 = 0;
-      for (dim_t t = 0; t < d; ++t) {
-        const index1d_t i = support_index_1d(l[t], x[t]);
-        index1 = (index1 << l[t]) + ((i - 1) >> 1);
-        prod *= hat_basis_1d(l[t], i, x[t]);
-        if (prod == 0) break;
-      }
-      if (prod != 0) {
-        const flat_index_t target = index2 + index1;
-        while (cursor < indices_.size() && indices_[cursor] < target)
-          ++cursor;
-        if (cursor < indices_.size() && indices_[cursor] == target)
-          res += prod * values_[cursor];
-      }
-      index2 += grid_.points_per_subspace(j);
-      if (k + 1 < subspaces) advance_level(l);
-    }
-  }
-  return res;
 }
 
 CompactStorage TruncatedStorage::densify() const {

@@ -12,8 +12,8 @@
 // B_{m,j} = phi_j(x_m). Everything is MATRIX-FREE on the compact
 // structure: B alpha is a batch evaluation (Alg. 7's subspace walk) and
 // B^T r scatters residual-weighted basis values back into the coefficient
-// array through the same walk — both O(M * #subspaces * d). The system is
-// symmetric positive definite, solved by conjugate gradients.
+// array through the same SoA kernel — both O(M * #subspaces * d). The
+// system is symmetric positive definite, solved by conjugate gradients.
 //
 // This is the use case where the compact structure shines beyond
 // compression: the fit touches the coefficient array millions of times
@@ -45,14 +45,15 @@ struct FitReport {
 std::vector<real_t> apply_design(const CompactStorage& storage,
                                  std::span<const CoordVector> points);
 
-/// Apply the transposed design operator: for every sample add
+/// Apply the transposed design operator: for every sample, in order, add
 /// r_m * phi_j(x_m) into coefficient j of `out`.
 void apply_design_transposed(const RegularSparseGrid& grid,
                              std::span<const CoordVector> points,
                              std::span<const real_t> residuals,
                              CompactStorage& out);
 
-/// Least-squares fit of a sparse grid of shape (d, n) to the samples.
+/// Least-squares fit of a sparse grid of shape (d, n) to the samples
+/// (values must be finite).
 /// Returns the fitted surrogate; `report` (optional) receives solver
 /// diagnostics.
 CompactStorage fit(dim_t d, level_t n, std::span<const CoordVector> points,

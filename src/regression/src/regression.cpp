@@ -3,38 +3,10 @@
 #include <cmath>
 
 #include "csg/core/evaluate.hpp"
-#include "csg/core/grid_point.hpp"
-#include "csg/core/level_enumeration.hpp"
 
 namespace csg::regression {
 
 namespace {
-
-/// Walk the one basis function per subspace whose support contains x
-/// (the Alg. 7 pattern) and invoke visit(flat_index, basis_value).
-template <typename Visitor>
-void for_each_active_basis(const RegularSparseGrid& grid,
-                           const CoordVector& x, Visitor&& visit) {
-  const dim_t d = grid.dim();
-  flat_index_t index2 = 0;
-  for (level_t j = 0; j < grid.level(); ++j) {
-    LevelVector l = first_level(d, j);
-    const std::uint64_t subspaces = grid.subspaces_in_group(j);
-    for (std::uint64_t k = 0; k < subspaces; ++k) {
-      real_t prod = 1;
-      flat_index_t index1 = 0;
-      for (dim_t t = 0; t < d; ++t) {
-        const index1d_t i = support_index_1d(l[t], x[t]);
-        index1 = (index1 << l[t]) + ((i - 1) >> 1);
-        prod *= hat_basis_1d(l[t], i, x[t]);
-        if (prod == 0) break;
-      }
-      if (prod != 0) visit(index2 + index1, prod);
-      index2 += grid.points_per_subspace(j);
-      if (k + 1 < subspaces) advance_level(l);
-    }
-  }
-}
 
 double dot(const std::vector<real_t>& a, const std::vector<real_t>& b) {
   double acc = 0;
@@ -55,14 +27,8 @@ void apply_design_transposed(const RegularSparseGrid& grid,
                              CompactStorage& out) {
   CSG_EXPECTS(points.size() == residuals.size());
   CSG_EXPECTS(out.grid() == grid);
-  for (std::size_t m = 0; m < points.size(); ++m) {
-    const real_t r = residuals[m];
-    if (r == 0) continue;
-    for_each_active_basis(grid, points[m],
-                          [&](flat_index_t j, real_t basis) {
-                            out[j] += r * basis;
-                          });
-  }
+  scatter_blocked_into(*EvaluationPlan::shared(grid), points, residuals,
+                       out.values());
 }
 
 CompactStorage fit(dim_t d, level_t n, std::span<const CoordVector> points,
@@ -71,6 +37,7 @@ CompactStorage fit(dim_t d, level_t n, std::span<const CoordVector> points,
   CSG_EXPECTS(points.size() == values.size());
   CSG_EXPECTS(!points.empty());
   CSG_EXPECTS(options.lambda >= 0);
+  for (const real_t y : values) CSG_EXPECTS(std::isfinite(y));
   CompactStorage alpha(d, n);
   const RegularSparseGrid& grid = alpha.grid();
   const auto num_coeffs = static_cast<std::size_t>(grid.num_points());

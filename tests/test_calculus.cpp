@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <sstream>
 
 #include "csg/core/evaluate.hpp"
 #include "csg/core/hierarchize.hpp"
+#include "csg/testing/property.hpp"
 #include "csg/workloads/functions.hpp"
 #include "csg/workloads/sampling.hpp"
 
@@ -92,6 +95,78 @@ TEST(Gradient, ZeroAtThePeakOfSymmetricData) {
       evaluate_with_gradient(s, CoordVector{0.5 + 1e-9});
   EXPECT_GT(left.gradient[0], 0.0);
   EXPECT_LT(right.gradient[0], 0.0);
+}
+
+TEST(Gradient, LeftDerivativeWhereAHatEnds) {
+  // One level-1 hat on [0, 0.5]: at its right end the left derivative is
+  // the falling slope -1/h = -4, although support_index_1d selects the
+  // right cell, whose hat is 0 there.
+  CompactStorage s(1, 2);
+  s.at(LevelVector{1}, IndexVector{1}) = 1.0;
+  const ValueAndGradient vg = evaluate_with_gradient(s, CoordVector{0.5});
+  EXPECT_EQ(vg.value, 0.0);
+  EXPECT_EQ(vg.gradient[0], -4.0);
+}
+
+TEST(Gradient, LeftDerivativeOfHatsMeetingOnAGridLine) {
+  // hat0 + hat(1,1) at x = 0.5: hat0 rises with slope +2 from the left and
+  // hat(1,1) falls with slope -4, so both one-sided derivatives are -2.
+  CompactStorage s(1, 2);
+  s.at(LevelVector{0}, IndexVector{1}) = 1.0;
+  s.at(LevelVector{1}, IndexVector{1}) = 1.0;
+  const ValueAndGradient vg = evaluate_with_gradient(s, CoordVector{0.5});
+  EXPECT_EQ(vg.value, 1.0);
+  EXPECT_EQ(vg.gradient[0], -2.0);
+}
+
+TEST(Gradient, OneSidedDerivativesAtTheDomainEnds) {
+  // x = 0 has no cell to its left: the right derivative (rising slope of
+  // the first hat) is taken. x = 1 takes the left one (falling slope).
+  CompactStorage s(1, 3);
+  s.at(LevelVector{2}, IndexVector{1}) = 1.0;
+  s.at(LevelVector{2}, IndexVector{7}) = 3.0;
+  EXPECT_EQ(evaluate_with_gradient(s, CoordVector{0.0}).gradient[0], 8.0);
+  EXPECT_EQ(evaluate_with_gradient(s, CoordVector{1.0}).gradient[0], -24.0);
+}
+
+TEST(Gradient, MatchesLeftDifferenceQuotientOnGridLines) {
+  // At dyadic points every coordinate sits on grid lines of several levels
+  // (and on kinks). fs is linear along each axis on [x_t - h, x_t] for h
+  // below the finest mesh width, so the left difference quotient is the
+  // left derivative up to rounding.
+  const auto res = csg::testing::run_property(
+      {"gradient_left_quotient_on_grid_lines", 8},
+      [](std::mt19937_64& rng) -> std::string {
+        const dim_t d = 3;
+        const level_t n = 5;
+        CompactStorage s(d, n);
+        std::uniform_real_distribution<real_t> coeff(-1, 1);
+        for (flat_index_t j = 0; j < s.size(); ++j) s[j] = coeff(rng);
+        const real_t h = std::ldexp(1.0, -20);
+        std::uniform_int_distribution<int> level(0, static_cast<int>(n));
+        for (int trial = 0; trial < 20; ++trial) {
+          CoordVector x(d);
+          for (dim_t t = 0; t < d; ++t) {
+            const int m = level(rng);
+            std::uniform_int_distribution<int> k(1, 1 << m);
+            x[t] = std::ldexp(static_cast<real_t>(k(rng)), -m);
+          }
+          const ValueAndGradient vg = evaluate_with_gradient(s, x);
+          for (dim_t t = 0; t < d; ++t) {
+            CoordVector lo = x;
+            lo[t] -= h;
+            const real_t quotient = (evaluate(s, x) - evaluate(s, lo)) / h;
+            if (std::abs(vg.gradient[t] - quotient) > 1e-7) {
+              std::ostringstream os;
+              os << "dim " << t << " at " << x << ": gradient "
+                 << vg.gradient[t] << " but left quotient " << quotient;
+              return os.str();
+            }
+          }
+        }
+        return "";
+      });
+  EXPECT_TRUE(res.passed) << res.detail;
 }
 
 TEST(Integrate, SingleBasisIntegralIsMeshWidthProduct) {

@@ -63,7 +63,7 @@ TEST_P(CrossValidation, AllRepresentationsAgreeOnRandomCoefficients) {
   const level_t n = shape.n;
 
   // Truncated with eps = 0 is lossless.
-  const TruncatedStorage truncated(compact, 0);
+  const CompactStorage truncated = TruncatedStorage(compact, 0).densify();
 
   // Nodal values of fs feed the adaptive grid (regular init).
   adaptive::AdaptiveSparseGrid adaptive_grid(d, n);
@@ -86,7 +86,7 @@ TEST_P(CrossValidation, AllRepresentationsAgreeOnRandomCoefficients) {
 
   for (const CoordVector& x : testing::random_points(rng, d, 60)) {
     const real_t reference = evaluate(compact, x);
-    ASSERT_EQ(truncated.evaluate(x), reference);
+    ASSERT_EQ(evaluate(truncated, x), reference);
     ASSERT_EQ(evaluate(reloaded, x), reference);
     ASSERT_NEAR(adaptive_grid.evaluate(x), reference, 1e-11);
     ASSERT_NEAR(combi.evaluate(x), reference, 1e-11);

@@ -190,8 +190,10 @@ TEST(SerializeTruncated, RoundTripPreservesEverything) {
   EXPECT_EQ(restored.error_bound(), original.error_bound());
   EXPECT_EQ(restored.indices(), original.indices());
   EXPECT_EQ(restored.values(), original.values());
+  const CompactStorage restored_dense = restored.densify();
+  const CompactStorage original_dense = original.densify();
   for (const CoordVector& x : workloads::uniform_points(3, 50, 6))
-    EXPECT_EQ(restored.evaluate(x), original.evaluate(x));
+    EXPECT_EQ(evaluate(restored_dense, x), evaluate(original_dense, x));
 }
 
 TEST(SerializeTruncated, CorruptIndexStreamRejected) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -132,6 +133,19 @@ TEST(PointBlockDeath, PointDimensionMismatchAborts) {
   PointBlock block;
   const std::vector<CoordVector> bad{CoordVector{0.5, 0.5, 0.5}};
   EXPECT_DEATH(block.assign(2, 3, bad), "precondition");
+}
+
+TEST(PointBlockDeath, CoordinateOutsideTheUnitIntervalAborts) {
+  // Every evaluation and the transposed scatter transpose their points
+  // here; a coordinate outside [0,1] would index past the coefficients.
+  PointBlock block;
+  for (const real_t bad : {-0.25, 1.25,
+                           std::numeric_limits<real_t>::quiet_NaN(),
+                           std::numeric_limits<real_t>::infinity()}) {
+    const std::vector<CoordVector> pts{CoordVector{0.5, 0.5},
+                                       CoordVector{0.5, bad}};
+    EXPECT_DEATH(block.assign(2, 3, pts), "precondition") << bad;
+  }
 }
 
 }  // namespace

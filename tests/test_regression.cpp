@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
+#include <utility>
 
 #include "csg/core/evaluate.hpp"
 #include "csg/core/hierarchize.hpp"
+#include "csg/testing/compare.hpp"
+#include "csg/testing/generators.hpp"
 #include "csg/testing/property.hpp"
+#include "csg/testing/reference_evaluate.hpp"
 #include "csg/workloads/functions.hpp"
 #include "csg/workloads/sampling.hpp"
 
@@ -54,6 +59,69 @@ TEST(Regression, TransposedOperatorIsAdjoint) {
         return "";
       });
   EXPECT_TRUE(res.passed) << res.detail;
+}
+
+// Sample points for the transpose oracle: a mix of generic coordinates,
+// dyadic ones on grid lines of some level <= n, and the ends 0 and 1.
+std::vector<CoordVector> mixed_points(std::mt19937_64& rng, dim_t d,
+                                      level_t n, std::size_t count) {
+  std::uniform_real_distribution<real_t> generic(0, 1);
+  std::uniform_int_distribution<int> kind(0, 5);
+  std::uniform_int_distribution<int> level(1, static_cast<int>(n));
+  std::vector<CoordVector> pts(count, CoordVector(d));
+  for (CoordVector& x : pts) {
+    for (dim_t t = 0; t < d; ++t) {
+      switch (kind(rng)) {
+        case 3: {
+          const int m = level(rng);
+          std::uniform_int_distribution<int> k(1, (1 << m) - 1);
+          x[t] = std::ldexp(static_cast<real_t>(k(rng)), -m);
+          break;
+        }
+        case 4: x[t] = 0; break;
+        case 5: x[t] = 1; break;
+        default: x[t] = generic(rng);
+      }
+    }
+  }
+  return pts;
+}
+
+TEST(Regression, TransposedOperatorMatchesTheScalarWalk) {
+  // testing::evaluate_walk(grid, e_j, x) is exactly phi_j(x), so
+  // sum_m r_m * walk(e_j, x_m), accumulated in m order, is B^T r term by
+  // term. The kernel's scatter must equal it at 0 ULPs (+0 == -0), for
+  // partial blocks (1, 7 points) and several 64-point blocks (130).
+  std::mt19937_64 rng(testing::mix_seed(0x7ea5));
+  std::uniform_real_distribution<real_t> dist(-1, 1);
+  const std::pair<dim_t, level_t> shapes[] = {{1, 6}, {3, 5}, {6, 4}};
+  for (const auto& [d, n] : shapes) {
+    const RegularSparseGrid grid(d, n);
+    for (const std::size_t count : {1u, 7u, 130u}) {
+      const auto pts = mixed_points(rng, d, n, count);
+      std::vector<real_t> random_r(count), zero_r(count, 0);
+      for (real_t& v : random_r) {
+        v = dist(rng);
+        if (v < -0.5) v = 0;  // about a quarter are exact zeros
+      }
+      for (const auto* r : {&random_r, &zero_r}) {
+        CompactStorage got(d, n);
+        apply_design_transposed(grid, pts, *r, got);
+        std::vector<real_t> unit(grid.num_points(), 0);
+        for (flat_index_t j = 0; j < grid.num_points(); ++j) {
+          unit[j] = 1;
+          real_t want = 0;
+          for (std::size_t m = 0; m < count; ++m)
+            want += (*r)[m] * testing::evaluate_walk(grid, unit, pts[m]);
+          unit[j] = 0;
+          ASSERT_EQ(testing::ulp_distance(got[j], want), 0u)
+              << "d=" << d << " n=" << n << " points=" << count
+              << (r == &zero_r ? " zero residuals" : "") << " j=" << j
+              << ": " << testing::describe_mismatch(got[j], want);
+        }
+      }
+    }
+  }
 }
 
 TEST(Regression, InterpolatesWhenDataComesFromTheGridItself) {
@@ -171,6 +239,31 @@ TEST(RegressionDeath, MismatchedSampleArraysRejected) {
   const auto pts = workloads::uniform_points(2, 10, 1);
   const std::vector<real_t> vals(9, 0.0);
   EXPECT_DEATH((void)fit(2, 3, pts, vals), "precondition");
+}
+
+TEST(RegressionDeath, NonFiniteValuesRejected) {
+  const auto pts = workloads::uniform_points(2, 10, 1);
+  for (const real_t bad : {std::numeric_limits<real_t>::quiet_NaN(),
+                           std::numeric_limits<real_t>::infinity(),
+                           -std::numeric_limits<real_t>::infinity()}) {
+    std::vector<real_t> vals(pts.size(), 0.5);
+    vals[3] = bad;
+    EXPECT_DEATH((void)fit(2, 3, pts, vals), "precondition") << bad;
+  }
+}
+
+TEST(RegressionDeath, TransposeRejectsPointsOutsideTheDomain) {
+  // The scatter writes where the point's cells say; a point outside
+  // [0,1]^d must stop before it can write out of bounds.
+  const RegularSparseGrid grid(2, 3);
+  CompactStorage out(2, 3);
+  const std::vector<real_t> r{1.0};
+  for (const real_t bad :
+       {-0.25, 1.5, std::numeric_limits<real_t>::quiet_NaN()}) {
+    const std::vector<CoordVector> pts{CoordVector{0.5, bad}};
+    EXPECT_DEATH(apply_design_transposed(grid, pts, r, out), "precondition")
+        << bad;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "csg/core/evaluate.hpp"
+#include "csg/core/grid_point.hpp"
 #include "csg/core/hierarchize.hpp"
 #include "csg/workloads/functions.hpp"
 #include "csg/workloads/sampling.hpp"
@@ -24,8 +25,9 @@ TEST(Truncated, ZeroThresholdIsLossless) {
   const CompactStorage s = compressed(workloads::simulation_field(3), 3, 5);
   const TruncatedStorage t(s, 0);
   EXPECT_EQ(t.error_bound(), 0.0);
+  const CompactStorage dense = t.densify();
   for (const CoordVector& x : workloads::uniform_points(3, 100, 5))
-    EXPECT_EQ(t.evaluate(x), evaluate(s, x));
+    EXPECT_EQ(evaluate(dense, x), evaluate(s, x));
 }
 
 TEST(Truncated, IndicesAreStrictlyIncreasing) {
@@ -40,9 +42,11 @@ TEST(Truncated, ErrorStaysWithinTheBound) {
   const CompactStorage s = compressed(workloads::simulation_field(d), d, 6);
   for (const real_t eps : {1e-5, 1e-4, 1e-3, 1e-2}) {
     const TruncatedStorage t(s, eps);
+    const CompactStorage dense = t.densify();
     real_t max_err = 0;
     for (const CoordVector& x : workloads::halton_points(d, 500))
-      max_err = std::max(max_err, std::abs(t.evaluate(x) - evaluate(s, x)));
+      max_err =
+          std::max(max_err, std::abs(evaluate(dense, x) - evaluate(s, x)));
     EXPECT_LE(max_err, t.error_bound() + 1e-14) << "eps=" << eps;
   }
 }
@@ -80,11 +84,22 @@ TEST(Truncated, DensifyRoundTripsSurvivors) {
 }
 
 TEST(Truncated, DensifiedEvaluationMatchesTruncatedEvaluation) {
+  // The truncated interpolant is the sum over the kept pairs of
+  // alpha_j * phi_j(x); the dense kernel on densify() must agree with it.
   const CompactStorage s = compressed(workloads::gaussian_bump(4), 4, 4);
   const TruncatedStorage t(s, 5e-4);
   const CompactStorage dense = t.densify();
-  for (const CoordVector& x : workloads::uniform_points(4, 100, 21))
-    EXPECT_NEAR(t.evaluate(x), evaluate(dense, x), 1e-15);
+  for (const CoordVector& x : workloads::uniform_points(4, 100, 21)) {
+    real_t expansion = 0;
+    for (std::size_t k = 0; k < t.kept_count(); ++k) {
+      const GridPoint gp = t.grid().idx2gp(t.indices()[k]);
+      real_t phi = 1;
+      for (dim_t u = 0; u < gp.level.size(); ++u)
+        phi *= hat_basis_1d(gp.level[u], gp.index[u], x[u]);
+      expansion += t.values()[k] * phi;
+    }
+    EXPECT_NEAR(evaluate(dense, x), expansion, 1e-15);
+  }
 }
 
 TEST(Truncated, SmoothFieldsCompressHarderThanRoughOnes) {

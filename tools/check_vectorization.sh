@@ -1,7 +1,8 @@
 #!/bin/sh
 # Verify the SoA batch kernel's inner loops actually vectorize
 # (DESIGN.md §14). The kernel's speedup rests on its table and fold passes
-# in evaluate_block_soa compiling to vector code; a refactor that
+# (walk_block, shared by evaluate_block_soa and scatter_blocked_into)
+# compiling to vector code; a refactor that
 # reintroduces a branch (or drops -fno-trapping-math) silently falls back
 # to scalar and only a careful bench read would notice. This check makes
 # that regression loud: it compiles src/core/src/evaluate.cpp standalone

@@ -55,6 +55,12 @@ Rules (catalog and suppression policy in docs/STATIC_ANALYSIS.md):
                          construction and no use of the header's endian tag
                          outside the allow()-tagged path helpers and header
                          pair: every on-disk format goes through one codec
+  one-eval-walk          in src/core, src/regression, src/combination,
+                         src/serve, src/net, src/io and src/parallel, no
+                         call to support_index_1d: Alg. 7's per-point cell
+                         locate belongs to the one SoA kernel (evaluate.cpp),
+                         whose table pass replaces it; the single-point
+                         gradient walk is the one tagged exception
 
 Findings are suppressed per site, never blanket:
   code();  // csg-lint: allow(rule-name) -- reason
@@ -716,6 +722,38 @@ class OneIoCodecRule(Rule):
         return findings
 
 
+class OneEvalWalkRule(Rule):
+    name = "one-eval-walk"
+    description = (
+        "no support_index_1d call in the production modules: B*alpha and "
+        "B^T r run the SoA kernel of src/core/src/evaluate.cpp"
+    )
+
+    # The comparators (baselines, gpusim, adaptive, memsim) and the oracle
+    # library (src/testing) keep their own walks on purpose.
+    SCOPE = ("src/core/", "src/regression/", "src/combination/",
+             "src/serve/", "src/net/", "src/io/", "src/parallel/")
+    CALL = re.compile(r"\bsupport_index_1d\s*\(")
+    # Its one definition (grid_point.hpp) is not a call.
+    DEFINITION = re.compile(r"\bindex1d_t\s+support_index_1d\s*\(")
+
+    def applies(self, relpath):
+        return relpath.replace(os.sep, "/").startswith(self.SCOPE)
+
+    def run(self, src):
+        findings = []
+        for m in self.CALL.finditer(src.masked):
+            line = src.line_of_offset(m.start())
+            if self.DEFINITION.search(src.masked_lines[line - 1]):
+                continue
+            findings.append(Finding(
+                self.name, src.relpath, line,
+                "private Alg. 7 walk: evaluate through evaluate_blocked_into "
+                "or scatter through scatter_blocked_into (evaluate.hpp) "
+                "instead of locating cells point by point"))
+        return findings
+
+
 class HeaderSelfContainedRule(Rule):
     """Compiles every public header standalone; not a per-file text rule."""
 
@@ -779,7 +817,8 @@ def text_rules(_args):
     return [ShiftWidthRule(), ImplicitNarrowingRule(), RawAllocRule(),
             OmpLoopCounterRule(), PragmaOnceRule(), BenchSeedRule(),
             MutexGuardAnnotationsRule(), SimdScalarParityRule(),
-            ExactPow2Rule(), OneCounterListRule(), OneIoCodecRule()]
+            ExactPow2Rule(), OneCounterListRule(), OneIoCodecRule(),
+            OneEvalWalkRule()]
 
 
 def collect_sources(root):
@@ -867,6 +906,7 @@ FIXTURES = {
     "exact-pow2": "bad_ldexp.cpp",
     "one-counter-list": "bad_counter_member.cpp",
     "one-io-codec": "bad_io_loader.cpp",
+    "one-eval-walk": "bad_eval_walk.cpp",
 }
 
 
