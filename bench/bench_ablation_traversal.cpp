@@ -9,8 +9,12 @@
 //    gp2idx at all (the production csg::hierarchize).
 // All three produce bit-identical coefficients (asserted in tests); the
 // bench shows what the bijection arithmetic costs and what the flat
-// layout enables.
+// layout enables. The boundary grid (Sec. 4.4) gets the same comparison:
+// its per-point walk (idx2bp plus two bp2idx parent lookups per point and
+// dimension; csg::testing::hierarchize_boundary_pointwise) against the
+// production face-wise pole sweep, with both directions checked exact.
 #include "bench_common.hpp"
+#include "csg/core/boundary_grid.hpp"
 #include "csg/core/hierarchize.hpp"
 #include "csg/testing/reference_hierarchize.hpp"
 #include "csg/workloads/functions.hpp"
@@ -21,6 +25,22 @@ using namespace csg;
 using csg::bench::Args;
 using csg::bench::Better;
 using csg::bench::Report;
+
+/// Seconds per call of an in-place transform of `input`. Each repetition
+/// transforms a fresh copy and only the transform is accumulated, until a
+/// 50 ms window is filled (at small d a single pass is microseconds — far
+/// too noisy to gate).
+template <class Storage>
+double time_transform(const Storage& input, void (*transform)(Storage&)) {
+  double accum = 0;
+  int calls = 0;
+  do {
+    Storage s = input;
+    accum += csg::bench::time_s([&] { transform(s); });
+    ++calls;
+  } while (accum < 0.05);
+  return accum / calls;
+}
 
 }  // namespace
 
@@ -43,24 +63,13 @@ int main(int argc, char** argv) {
   std::printf("%-4s %12s %14s %14s %14s %10s\n", "d", "N points",
               "literal (ms)", "subspace (ms)", "poles (ms)", "poles win");
   for (dim_t d = 2; d <= 10; d += 2) {
-    const auto f = workloads::parabola_product(d);
-    // The transform mutates in place, so each repetition rebuilds; only the
-    // transform itself is accumulated, until a 50 ms window is filled (at
-    // small d a single pass is microseconds — far too noisy to gate).
-    auto run = [&](void (*transform)(CompactStorage&)) {
-      double accum = 0;
-      int calls = 0;
-      do {
-        CompactStorage s(d, level);
-        s.sample(f.f);
-        accum += csg::bench::time_s([&] { transform(s); });
-        ++calls;
-      } while (accum < 0.05);
-      return accum / calls;
-    };
-    const double t_lit = run(&csg::testing::hierarchize_literal);
-    const double t_sub = run(&csg::testing::hierarchize_groups);
-    const double t_pole = run(&hierarchize);
+    CompactStorage nodal(d, level);
+    nodal.sample(workloads::parabola_product(d).f);
+    const double t_lit =
+        time_transform(nodal, &csg::testing::hierarchize_literal);
+    const double t_sub =
+        time_transform(nodal, &csg::testing::hierarchize_groups);
+    const double t_pole = time_transform(nodal, &hierarchize);
     std::printf("%-4u %12llu %14.3f %14.3f %14.3f %9.1fx\n", d,
                 static_cast<unsigned long long>(
                     regular_grid_num_points(d, level)),
@@ -81,6 +90,46 @@ int main(int argc, char** argv) {
     report.add_counter("poles_speedup_vs_subspace" + dk, t_sub / t_pole, "x",
                        Better::kNeutral);
   }
+
+  std::printf("\nboundary grid (Sec. 4.4), ns per point:\n%-4s %12s %14s "
+              "%14s %10s\n",
+              "d", "N points", "pointwise", "poles", "poles win");
+  bool boundary_exact = true;
+  for (dim_t d = 2; d <= 6; d += 2) {
+    BoundaryStorage nodal(d, level);
+    nodal.sample(workloads::boundary_polynomial(d).f);
+    const double t_point =
+        time_transform(nodal, &csg::testing::hierarchize_boundary_pointwise);
+    const double t_pole = time_transform(nodal, &hierarchize);
+    // Both directions from the same input, at 0 ULPs (+-0 equal).
+    BoundaryStorage fwd = nodal, fwd_ref = nodal;
+    hierarchize(fwd);
+    csg::testing::hierarchize_boundary_pointwise(fwd_ref);
+    BoundaryStorage inv = nodal, inv_ref = nodal;
+    dehierarchize(inv);
+    csg::testing::dehierarchize_boundary_pointwise(inv_ref);
+    boundary_exact = boundary_exact && fwd.values() == fwd_ref.values() &&
+                     inv.values() == inv_ref.values();
+    const auto points = static_cast<double>(nodal.size());
+    std::printf("%-4u %12llu %14.1f %14.1f %9.1fx\n", d,
+                static_cast<unsigned long long>(nodal.size()),
+                t_point / points * 1e9, t_pole / points * 1e9,
+                t_point / t_pole);
+    const std::string dk = "/d" + std::to_string(d);
+    report
+        .add_time("boundary/hierarchize_ns_per_point/pointwise" + dk,
+                  csg::bench::summarize({t_point}), "ns", 1e9 / points)
+        .tolerance = 1.0;
+    report
+        .add_time("boundary/hierarchize_ns_per_point/poles" + dk,
+                  csg::bench::summarize({t_pole}), "ns", 1e9 / points)
+        .tolerance = 1.0;
+  }
+  report.add_counter("exact/boundary_poles", boundary_exact ? 1 : 0, "bool",
+                     Better::kMore);
+  std::printf("boundary poles bit-identical to the pointwise walk: %s\n",
+              boundary_exact ? "yes" : "NO");
+
   std::printf("\nreading: the pole transform removes every bijection call "
               "from the inner loop; the gp2idx arithmetic is what separates "
               "the three — exactly the cost the paper's Sec. 4.2 O(d) "

@@ -81,9 +81,7 @@ int main() {
   const auto queries = workloads::halton_points(d, 5000);
   double max_abs_err = 0, mean_abs_err = 0;
   const auto t1 = std::chrono::steady_clock::now();
-  std::vector<real_t> interpolated(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q)
-    interpolated[q] = evaluate(surface, queries[q]);
+  const std::vector<real_t> interpolated = evaluate(surface, queries);
   const double interp_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
           .count();

@@ -10,16 +10,17 @@
 // delegates to gp2idx inside every sub-grid — exactly the extension the
 // paper sketches.
 //
-// On top of the storage map we also provide the d-linear algorithms: in each
-// dimension the two level-0 boundary functions are phi_left(x) = 1 - x and
-// phi_right(x) = x, so evaluation sums, over all sub-grids, the product of
-// boundary weights times the interior interpolant of the sub-grid, and
-// hierarchization treats boundary values as (never-updated) parents instead
-// of zeros.
+// The d-linear algorithms run every face (sub-grid) on the interior grid's
+// kernels. Per dimension the level-0 boundary hats are 1 - x and x, so
+// evaluation sums over all faces the boundary weights times the face's
+// interpolant, one SoA block-kernel call per face for all points; the
+// interior pole sweep hierarchizes every face, with the (never-updated)
+// adjacent faces as pole ends instead of zeros (DESIGN.md §15).
 #pragma once
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "csg/core/compact_storage.hpp"
@@ -145,13 +146,19 @@ class BoundaryStorage {
 /// parent on the domain boundary contributes the (nodal) boundary value of
 /// the corresponding sub-grid point instead of zero. Boundary coefficients
 /// themselves are nodal in their fixed dimensions and hierarchize in their
-/// free dimensions.
+/// free dimensions, by a pole sweep over the faces.
 void hierarchize(BoundaryStorage& storage);
 
-/// Inverse of the boundary hierarchization.
+/// Inverse of the boundary hierarchization, dimensions descending.
 void dehierarchize(BoundaryStorage& storage);
 
-/// Evaluate the boundary sparse grid function at x in [0,1]^d.
+/// Evaluate the boundary sparse grid function at every point in [0,1]^d:
+/// per face one blocked kernel call over the points with a non-zero
+/// boundary weight there; each point sums its faces in storage order.
+std::vector<real_t> evaluate(const BoundaryStorage& storage,
+                             std::span<const CoordVector> points);
+
+/// One point: a batch of one.
 real_t evaluate(const BoundaryStorage& storage, const CoordVector& x);
 
 }  // namespace csg

@@ -9,7 +9,8 @@
 // enumeration into contiguous arrays. One SoA block kernel finds that hat
 // per point and subspace; B * alpha gathers with it (every evaluation entry
 // point: one point, a sequential batch, the OpenMP batch, the serving
-// workers — all through evaluate_blocked_into) and B^T r scatters with it
+// workers, the faces of a boundary grid — all through
+// evaluate_blocked_into) and B^T r scatters with it
 // (scatter_blocked_into). The scalar walk and blocked loop the kernel is
 // pinned against are oracles in csg::testing (reference_evaluate.hpp).
 //
@@ -31,19 +32,15 @@
 
 namespace csg {
 
-/// Evaluate a coefficient array laid out by `grid` at one point x in
-/// [0,1]^d. The span form exists so that sub-grid views (e.g. the boundary
-/// decomposition of Sec. 4.4) can be evaluated without copying. Fetches the
-/// shared plan for (d, n); callers holding a plan use the overload below.
-real_t evaluate_span(const RegularSparseGrid& grid,
-                     std::span<const real_t> coeffs, const CoordVector& x);
-
-/// Plan-held form: one point evaluated as a one-lane block of the SoA
-/// kernel, in the calling thread's PointBlock arena.
+/// Evaluate a coefficient array laid out by `plan`'s grid at one point x in
+/// [0,1]^d: a one-lane block of the SoA kernel, in the calling thread's
+/// PointBlock arena. Sub-grid views (the faces of the boundary grid,
+/// boundary_grid.hpp) go through evaluate_blocked_into below in batches.
 real_t evaluate_span(const EvaluationPlan& plan,
                      std::span<const real_t> coeffs, const CoordVector& x);
 
-/// Evaluate the sparse grid function at one point x in [0,1]^d.
+/// Evaluate the sparse grid function at one point x in [0,1]^d, through
+/// the shared plan for (d, n).
 real_t evaluate(const CompactStorage& storage, const CoordVector& x);
 
 /// Cache-blocked evaluation (paper Sec. 4.3): the subspace loop is hoisted

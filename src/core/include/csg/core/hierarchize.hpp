@@ -55,6 +55,8 @@ class PoleRoots {
  public:
   PoleRoots(const RegularSparseGrid& grid, dim_t t);
   const LevelVector& operator[](std::uint64_t r);
+  /// The last root returned, without its t component.
+  const LevelVector& rest() const { return rest_; }
 
  private:
   const RegularSparseGrid* grid_;
@@ -65,13 +67,18 @@ class PoleRoots {
   LevelVector root_;
 };
 
-/// Transform every dimension-t pole of the family rooted at `root`
-/// (forward or inverse). `offs` is scratch of grid.level() entries. Families
-/// are disjoint, so callers may run different roots concurrently; the
-/// OpenMP form (csg::parallel::omp_hierarchize) does exactly that.
-void transform_pole_family(CompactStorage& storage, dim_t t,
-                           const LevelVector& root, bool inverse,
-                           std::span<flat_index_t> offs);
+/// Transform every dimension-t pole of the family rooted at `root` in the
+/// array `data` laid out by `grid` (forward or inverse); `offs` is scratch
+/// of grid.level() entries. Families are disjoint, so callers may run roots
+/// concurrently (csg::parallel::omp_hierarchize does). Null `left`/`right`
+/// mean zero ends: each pole's level-0 point is only read and single-point
+/// poles are skipped. Otherwise the k-th pole in row-major (A, B) order has
+/// ends left[k], right[k] and is updated from level 0 (boundary_grid.hpp).
+void transform_pole_family(const RegularSparseGrid& grid, real_t* data,
+                           dim_t t, const LevelVector& root, bool inverse,
+                           std::span<flat_index_t> offs,
+                           const real_t* left = nullptr,
+                           const real_t* right = nullptr);
 
 }  // namespace detail
 

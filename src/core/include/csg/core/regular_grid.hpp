@@ -9,6 +9,7 @@
 // of a point decomposes as index1 + index2 + index3 (paper Sec. 4.1).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "csg/core/binomial_table.hpp"
@@ -18,25 +19,41 @@
 
 namespace csg {
 
+/// Points of the grid of dimension d and level n — with `boundary`, of its
+/// boundary grid: 2^j C(d, j) faces of dimension d - j (Sec. 4.4) — counted
+/// in 128 bits, N(k) = sum_{j<n} C(k-1+j, k-1) 2^j per face, N(0) = 1.
+/// Empty when the count does not fit 64-bit flat indices (2^63 or more).
+inline std::optional<flat_index_t> grid_points(dim_t d, level_t n,
+                                               bool boundary = false) {
+  CSG_EXPECTS(d >= 1 && d <= kMaxDim);
+  CSG_EXPECTS(n >= 1 && n <= kMaxLevel);
+  const auto face = [n](dim_t k) {
+    unsigned __int128 points = k == 0 ? 1 : 0;
+    for (level_t j = 0; k > 0 && j < n; ++j)
+      points += static_cast<unsigned __int128>(
+                    binomial_on_the_fly(k - 1 + j, k - 1)) << j;
+    return points;
+  };
+  unsigned __int128 total = 0;
+  for (dim_t j = 0; j <= (boundary ? d : 0); ++j)
+    total += (static_cast<unsigned __int128>(binomial_on_the_fly(d, j))
+              << j) * face(d - j);
+  if (total >> 63) return std::nullopt;
+  return static_cast<flat_index_t>(total);
+}
+
 class RegularSparseGrid {
  public:
   /// A grid of dimension d >= 1 with n >= 1 level groups (the paper's
   /// "sparse grid of level n"). Precomputes binmat and the level-group
   /// offset table; both are O(d * n) small.
   RegularSparseGrid(dim_t d, level_t n) : d_(d), n_(n) {
-    CSG_EXPECTS(d >= 1 && d <= kMaxDim);
-    CSG_EXPECTS(n >= 1 && n <= kMaxLevel);
+    CSG_EXPECTS(grid_points(d, n) && "grid too large for 64-bit flat indices");
     binmat_ = BinomialTable(d - 1 + n);
     group_offset_.resize(n + 1);
-    unsigned __int128 total = 0;
-    for (level_t j = 0; j < n; ++j) {
-      group_offset_[j] = static_cast<flat_index_t>(total);
-      total += static_cast<unsigned __int128>(num_subspaces(d, j, binmat_))
-               << j;
-      CSG_EXPECTS(total < (static_cast<unsigned __int128>(1) << 63) &&
-                  "grid too large for 64-bit flat indices");
-    }
-    group_offset_[n] = static_cast<flat_index_t>(total);
+    for (level_t j = 0; j < n; ++j)
+      group_offset_[j + 1] =
+          group_offset_[j] + (num_subspaces(d, j, binmat_) << j);
   }
 
   dim_t dim() const { return d_; }
@@ -184,9 +201,11 @@ class RegularSparseGrid {
 };
 
 /// Convenience: N(d, n) without building a grid (used by size planning and
-/// the memory benchmarks).
+/// the memory benchmarks); aborts where grid_points is empty.
 inline flat_index_t regular_grid_num_points(dim_t d, level_t n) {
-  return RegularSparseGrid(d, n).num_points();
+  const auto points = grid_points(d, n);
+  CSG_EXPECTS(points && "grid too large for 64-bit flat indices");
+  return *points;
 }
 
 }  // namespace csg

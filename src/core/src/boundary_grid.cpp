@@ -1,8 +1,10 @@
 #include "csg/core/boundary_grid.hpp"
 
+#include <bit>
 #include <span>
 
 #include "csg/core/evaluate.hpp"
+#include "csg/core/hierarchize.hpp"
 
 namespace csg {
 
@@ -32,22 +34,18 @@ std::uint64_t num_boundary_subgrids(dim_t d, dim_t j) {
 }
 
 BoundarySparseGrid::BoundarySparseGrid(dim_t d, level_t n) : d_(d), n_(n) {
-  CSG_EXPECTS(d >= 1 && d <= kMaxDim);
-  CSG_EXPECTS(n >= 1 && n <= kMaxLevel);
+  CSG_EXPECTS(grid_points(d, n, true) &&
+              "boundary grid too large for 64-bit flat indices");
   binmat_ = BinomialTable(d);
   interior_.reserve(d);
   for (dim_t k = 1; k <= d; ++k) interior_.emplace_back(k, n);
   subgrid_points_.resize(d + 1);
   group_offset_.resize(d + 2);
   group_offset_[0] = 0;
-  unsigned __int128 total = 0;
   for (dim_t j = 0; j <= d; ++j) {
     subgrid_points_[j] = (j < d) ? interior_[d - j - 1].num_points() : 1;
-    total += static_cast<unsigned __int128>(num_boundary_subgrids(d, j)) *
-             subgrid_points_[j];
-    CSG_EXPECTS(total < (static_cast<unsigned __int128>(1) << 63) &&
-                "boundary grid too large for 64-bit flat indices");
-    group_offset_[j + 1] = static_cast<flat_index_t>(total);
+    group_offset_[j + 1] =
+        group_offset_[j] + num_boundary_subgrids(d, j) * subgrid_points_[j];
   }
 }
 
@@ -141,100 +139,116 @@ void BoundaryStorage::sample(
 
 namespace {
 
-/// Value of the dimension-t parent of p, where the parent may be an
-/// interior point or a boundary point of an adjacent sub-grid.
-real_t boundary_parent_value(const BoundaryStorage& storage, BoundaryPoint p,
-                             dim_t t, bool right) {
-  const Parent1d par = right ? right_parent_1d(p.level[t], p.index[t])
-                             : left_parent_1d(p.level[t], p.index[t]);
-  if (par.is_boundary) {
-    p.level[t] = kBoundaryLevel;
-    p.index[t] = right ? 1 : 0;
-  } else {
-    p.level[t] = par.level;
-    p.index[t] = par.index;
+/// f(mask, sign, base) for every face in bp2idx order: j fixed dimensions,
+/// their set `mask` (colex is numeric order), then `sign` (bit k: the k-th
+/// fixed dimension's value); `base` is the face's first flat position.
+template <class F>
+void for_each_face(const BoundarySparseGrid& grid, F&& f) {
+  const dim_t d = grid.dim();
+  flat_index_t base = 0;
+  for (dim_t j = 0; j <= d; ++j) {
+    for (std::uint32_t mask = 0; mask < (std::uint32_t{1} << d); ++mask) {
+      if (static_cast<dim_t>(std::popcount(mask)) != j) continue;
+      for (std::uint64_t sign = 0; sign < (std::uint64_t{1} << j); ++sign) {
+        f(mask, sign, base);
+        base += grid.subgrid_points(j);
+      }
+    }
   }
-  return storage[storage.grid().bp2idx(p)];
+}
+
+/// Per dimension t, the interior pole sweep on every face leaving t free.
+/// The pole ends are the faces that also fix t (at 0 and 1), whose grid is
+/// this face's without t: a family's ends are one run at its root's offset
+/// there. They are not written in pass t, so every point sees the operands
+/// of testing::hierarchize_boundary_pointwise: results are bit-identical.
+void sweep(BoundaryStorage& storage, bool inverse) {
+  const BoundarySparseGrid& grid = storage.grid();
+  const dim_t d = grid.dim();
+  real_t* data = &storage[0];
+  std::vector<flat_index_t> offs(grid.level());
+  for (dim_t k = 0; k < d; ++k) {
+    const dim_t t = detail::sweep_dimension(d, k, inverse);
+    const std::uint32_t bit = std::uint32_t{1} << t;
+    for_each_face(grid, [&](std::uint32_t mask, std::uint64_t sign,
+                            flat_index_t base) {
+      if (mask & bit) return;
+      const auto j = static_cast<dim_t>(std::popcount(mask));
+      const auto p = static_cast<dim_t>(std::popcount(mask & (bit - 1)));
+      std::uint64_t rank = 0;  // colex rank of the end faces' fixed set
+      for (dim_t s = 0, i = 0; s < d; ++s)
+        if (((mask | bit) >> s) & 1) rank += grid.binmat()(s, ++i);
+      // t is the end faces' p-th fixed dimension: a 0 bit inserted at p.
+      const std::uint64_t low = sign & ((std::uint64_t{1} << p) - 1);
+      const flat_index_t block = grid.subgrid_points(j + 1);
+      const real_t* left = data + grid.group_offset(j + 1) +
+                           ((rank << (j + 1)) + low + 2 * (sign - low)) * block;
+      const real_t* right = left + (std::uint64_t{1} << p) * block;
+      const RegularSparseGrid& face = grid.interior_grid(d - j);
+      detail::PoleRoots root(face, t - p);
+      for (std::uint64_t r = 0; r < detail::pole_root_count(face); ++r) {
+        const LevelVector& l = root[r];
+        const flat_index_t at =  // corner ends have no grid
+            j + 1 == d ? 0
+                       : grid.interior_grid(d - j - 1).subspace_offset(
+                             root.rest());
+        detail::transform_pole_family(face, data + base, t - p, l, inverse,
+                                      offs, left + at, right + at);
+      }
+    });
+  }
 }
 
 }  // namespace
 
-void hierarchize(BoundaryStorage& storage) {
-  const BoundarySparseGrid& grid = storage.grid();
-  const dim_t d = grid.dim();
-  // Flat descending order puts, inside every sub-grid, higher interior level
-  // groups first — so a point's (strictly lower-level or boundary) parents
-  // in the active dimension are read before they are themselves updated.
-  for (dim_t t = 0; t < d; ++t) {
-    for (flat_index_t idx = grid.num_points(); idx-- > 0;) {
-      const BoundaryPoint p = grid.idx2bp(idx);
-      if (p.fixed(t)) continue;  // boundary coefficients are nodal in t
-      const real_t v1 = boundary_parent_value(storage, p, t, false);
-      const real_t v2 = boundary_parent_value(storage, p, t, true);
-      storage[idx] -= (v1 + v2) / 2;
-    }
-  }
-}
+void hierarchize(BoundaryStorage& storage) { sweep(storage, false); }
 
-void dehierarchize(BoundaryStorage& storage) {
+void dehierarchize(BoundaryStorage& storage) { sweep(storage, true); }
+
+std::vector<real_t> evaluate(const BoundaryStorage& storage,
+                             std::span<const CoordVector> points) {
   const BoundarySparseGrid& grid = storage.grid();
   const dim_t d = grid.dim();
-  for (dim_t t = d; t-- > 0;) {
-    for (flat_index_t idx = 0; idx < grid.num_points(); ++idx) {
-      const BoundaryPoint p = grid.idx2bp(idx);
-      if (p.fixed(t)) continue;
-      const real_t v1 = boundary_parent_value(storage, p, t, false);
-      const real_t v2 = boundary_parent_value(storage, p, t, true);
-      storage[idx] += (v1 + v2) / 2;
+  std::vector<real_t> res(points.size(), 0);
+  // Per face: the points of non-zero weight, their weights and projections.
+  std::vector<std::size_t> ids;
+  std::vector<real_t> weights, values;
+  std::vector<CoordVector> proj;
+  for_each_face(grid, [&](std::uint32_t mask, std::uint64_t sign,
+                          flat_index_t base) {
+    const auto free = static_cast<dim_t>(d - std::popcount(mask));
+    ids.clear();
+    weights.clear();
+    proj.clear();
+    for (std::size_t q = 0; q < points.size(); ++q) {
+      CSG_EXPECTS(points[q].size() == d);
+      // Weight: product of the level-0 boundary hats over fixed dims.
+      real_t w = 1;
+      for (dim_t t = 0, k = 0; t < d; ++t)
+        if ((mask >> t) & 1)
+          w *= ((sign >> k++) & 1) ? points[q][t] : (1 - points[q][t]);
+      if (w == 0) continue;
+      ids.push_back(q);
+      weights.push_back(w);
+      CoordVector& y = proj.emplace_back();
+      for (dim_t t = 0; t < d; ++t)
+        if (!((mask >> t) & 1)) y.push_back(points[q][t]);
     }
-  }
+    values.assign(ids.size(), free == 0 ? storage[base] : real_t{0});
+    if (free > 0 && !ids.empty())
+      evaluate_blocked_into(
+          *EvaluationPlan::shared(grid.interior_grid(free)),
+          {storage.values().data() + base,
+           static_cast<std::size_t>(grid.subgrid_points(d - free))},
+          proj, 64, values);
+    for (std::size_t q = 0; q < ids.size(); ++q)
+      res[ids[q]] += weights[q] * values[q];
+  });
+  return res;
 }
 
 real_t evaluate(const BoundaryStorage& storage, const CoordVector& x) {
-  const BoundarySparseGrid& grid = storage.grid();
-  const dim_t d = grid.dim();
-  CSG_EXPECTS(x.size() == d);
-  const BinomialTable& binmat = grid.binmat();
-  real_t res = 0;
-  flat_index_t base = 0;
-  for (dim_t j = 0; j <= d; ++j) {
-    const std::uint64_t subsets = binmat(d, j);
-    const flat_index_t block = grid.subgrid_points(j);
-    for (std::uint64_t r = 0; r < subsets; ++r) {
-      const DimVector<dim_t> subset = unrank_subset(d, j, r, binmat);
-      for (std::uint64_t sign = 0; sign < (std::uint64_t{1} << j); ++sign) {
-        // Weight: product of the level-0 boundary hats over fixed dims.
-        real_t w = 1;
-        for (dim_t k = 0; k < j; ++k) {
-          const real_t xt = x[subset[k]];
-          w *= ((sign >> k) & 1) ? xt : (1 - xt);
-        }
-        if (w != 0) {
-          if (j == d) {
-            res += w * storage[base];
-          } else {
-            CoordVector proj;
-            dim_t fixed_seen = 0;
-            for (dim_t t = 0; t < d; ++t) {
-              if (fixed_seen < j && subset[fixed_seen] == t)
-                ++fixed_seen;
-              else
-                proj.push_back(x[t]);
-            }
-            res += w * evaluate_span(
-                           grid.interior_grid(d - j),
-                           std::span<const real_t>(
-                               storage.values().data() + base,
-                               static_cast<std::size_t>(block)),
-                           proj);
-          }
-        }
-        base += block;
-      }
-    }
-  }
-  CSG_ASSERT(base == grid.num_points());
-  return res;
+  return evaluate(storage, std::span<const CoordVector>(&x, 1))[0];
 }
 
 }  // namespace csg

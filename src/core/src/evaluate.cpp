@@ -151,13 +151,8 @@ real_t evaluate_span(const EvaluationPlan& plan,
   return out;
 }
 
-real_t evaluate_span(const RegularSparseGrid& grid,
-                     std::span<const real_t> coeffs, const CoordVector& x) {
-  return evaluate_span(*EvaluationPlan::shared(grid), coeffs, x);
-}
-
 real_t evaluate(const CompactStorage& storage, const CoordVector& x) {
-  return evaluate_span(storage.grid(),
+  return evaluate_span(*EvaluationPlan::shared(storage.grid()),
                        std::span<const real_t>(storage.data(),
                                                storage.values().size()),
                        x);

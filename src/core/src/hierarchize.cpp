@@ -7,7 +7,8 @@ namespace csg {
 namespace {
 
 /// Scalar Alg. 1 recursion over one pole of dimension t in the flat array,
-/// entered at level 1 below the pole's read-only level-0 point.
+/// entered at level 1 below a zero-boundary pole's read-only level-0 point
+/// or at level 0 between a boundary pole's ends.
 /// Point (lev, c) — c = (i-1)/2 — sits at offs[lev] + ((A << lev) + c) * S
 /// + B. Forward: children consume the pre-update ancestor values riding
 /// down the recursion; inverse: the point is restored before its children
@@ -53,7 +54,8 @@ void sweep(CompactStorage& storage, bool inverse) {
     const dim_t t = detail::sweep_dimension(grid.dim(), k, inverse);
     detail::PoleRoots root(grid, t);
     for (std::uint64_t r = 0; r < roots; ++r)
-      detail::transform_pole_family(storage, t, root[r], inverse, offs);
+      detail::transform_pole_family(grid, storage.data(), t, root[r],
+                                    inverse, offs);
   }
 }
 
@@ -92,16 +94,17 @@ const LevelVector& PoleRoots::operator[](std::uint64_t r) {
   return root_;
 }
 
-void transform_pole_family(CompactStorage& storage, dim_t t,
-                           const LevelVector& root, bool inverse,
-                           std::span<flat_index_t> offs) {
-  const RegularSparseGrid& grid = storage.grid();
+void transform_pole_family(const RegularSparseGrid& grid, real_t* data,
+                           dim_t t, const LevelVector& root, bool inverse,
+                           std::span<flat_index_t> offs, const real_t* left,
+                           const real_t* right) {
   const auto budget = static_cast<level_t>(grid.level() - 1 - root.l1_norm());
   CSG_ASSERT(root[t] == 0 && offs.size() > budget);
-  // A pole's level-0 point has both parents on the boundary, so its update
-  // would add or subtract zero: it is only read, and single-point poles
-  // are skipped outright (the group-order oracle never touches them either).
-  if (budget == 0) return;
+  CSG_ASSERT((left == nullptr) == (right == nullptr));
+  // Between zero ends a pole's level-0 point would add or subtract zero: it
+  // is only read, and single-point poles are skipped outright (the
+  // group-order oracle never touches them either).
+  if (budget == 0 && left == nullptr) return;
   LevelVector lt = root;
   for (level_t lev = 0; lev <= budget; ++lev) {
     lt[t] = lev;
@@ -110,12 +113,19 @@ void transform_pole_family(CompactStorage& storage, dim_t t,
   flat_index_t prefix_count = 1, stride = 1;
   for (dim_t s = 0; s < t; ++s) prefix_count <<= root[s];
   for (dim_t s = t + 1; s < grid.dim(); ++s) stride <<= root[s];
-  PoleTransform pole{storage.data(), offs.data(), 0, stride, 0, budget};
-  for (flat_index_t a = 0; a < prefix_count; ++a) {
+  PoleTransform pole{data, offs.data(), 0, stride, 0, budget};
+  for (flat_index_t a = 0, k = 0; a < prefix_count; ++a) {
     pole.prefix = a;
-    for (flat_index_t b = 0; b < stride; ++b) {
+    for (flat_index_t b = 0; b < stride; ++b, ++k) {
       pole.suffix = b;
-      const real_t top = storage.data()[pole.position(0, 0)];
+      if (left != nullptr) {
+        if (inverse)
+          pole.inverse(0, 0, left[k], right[k]);
+        else
+          pole.forward(0, 0, left[k], right[k]);
+        continue;
+      }
+      const real_t top = data[pole.position(0, 0)];
       if (inverse) {
         pole.inverse(1, 0, 0, top);
         pole.inverse(1, 1, top, 0);

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -138,6 +139,14 @@ Header read_header(std::istream& in, const Format& f) {
           count};
 }
 
+/// The header shape's point count, checked before any grid is built: a
+/// shape past 64-bit flat indices fails here, not in the grid constructor.
+flat_index_t header_points(const Header& h, const Format& f, bool boundary) {
+  const auto points = grid_points(h.d, h.n, boundary);
+  if (!points) fail(f.loader, "grid shape too large for 64-bit indices");
+  return *points;
+}
+
 /// CSG1 and CSB1: (d, n) fixes the layout, so the payload is the whole
 /// coefficient array in index order, written and read in one bulk call.
 template <class Storage>
@@ -152,8 +161,9 @@ template <class Storage>
 Storage load_dense(std::istream& in, const Format& f, const char* mismatch,
                    const char* truncated) {
   const Header h = read_header(in, f);
+  if (header_points(h, f, std::is_same_v<Storage, BoundaryStorage>) != h.count)
+    fail(f.loader, mismatch);
   Storage storage(h.d, h.n);
-  if (storage.size() != h.count) fail(f.loader, mismatch);
   get_reals(in, f, {&storage[0], static_cast<std::size_t>(h.count)},
             truncated);
   return storage;
@@ -213,9 +223,9 @@ TruncatedStorage load_truncated(std::istream& in) {
   const auto bound = get<real_t>(in);
   if (!in || !std::isfinite(bound) || bound < 0)
     fail(kTruncated.loader, "header out of range");
-  RegularSparseGrid grid(h.d, h.n);
-  if (h.count > grid.num_points())
+  if (h.count > header_points(h, kTruncated, false))
     fail(kTruncated.loader, "more survivors than grid points");
+  RegularSparseGrid grid(h.d, h.n);
   std::vector<flat_index_t> indices(static_cast<std::size_t>(h.count));
   std::vector<real_t> values(static_cast<std::size_t>(h.count));
   get_array(in, kTruncated, indices.data(), h.count, "truncated payload");

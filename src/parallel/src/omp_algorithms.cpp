@@ -36,7 +36,8 @@ void omp_sweep(CompactStorage& storage, bool inverse, int num_threads) {
 #pragma omp for schedule(static) nowait
       for (std::int64_t r = 0; r < count; ++r)
         csg::detail::transform_pole_family(
-            storage, t, root[static_cast<std::uint64_t>(r)], inverse, offs);
+            grid, storage.data(), t, root[static_cast<std::uint64_t>(r)],
+            inverse, offs);
     }
   }
 }

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "csg/core/boundary_grid.hpp"
 #include "csg/core/compact_storage.hpp"
 
 namespace csg::testing {
@@ -31,5 +32,12 @@ real_t evaluate_walk(const RegularSparseGrid& grid,
 std::vector<real_t> evaluate_blocked_scalar(
     const CompactStorage& coeffs, std::span<const CoordVector> points,
     std::size_t block_size);
+
+/// The boundary grid's interpolant at x (Sec. 4.4), one face at a time in
+/// storage order: the product of the fixed dimensions' level-0 hats times
+/// evaluate_walk on the face, skipped where that weight is 0. Each face is
+/// decoded from its first point with idx2bp.
+real_t evaluate_boundary_walk(const BoundaryStorage& storage,
+                              const CoordVector& x);
 
 }  // namespace csg::testing

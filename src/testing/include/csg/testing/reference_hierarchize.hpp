@@ -10,8 +10,12 @@
 // per dimension, which is what makes this order slow on the CPU; it is
 // bit-identical to the pole sweep by construction, which the oracles in
 // oracles.hpp check at zero ULPs.
+//
+// The boundary grid's per-point walk (Sec. 4.4) is kept the same way, as
+// the oracle of its face-wise pole sweep (csg/core/boundary_grid.hpp).
 #pragma once
 
+#include "csg/core/boundary_grid.hpp"
 #include "csg/core/compact_storage.hpp"
 
 namespace csg::testing {
@@ -38,5 +42,15 @@ void dehierarchize_groups(CompactStorage& storage);
 /// Literal transcription of Alg. 6: per dimension, one flat loop
 /// j = N-1 ... 0 with a full idx2gp decode per point.
 void hierarchize_literal(CompactStorage& storage);
+
+/// The boundary grid's Alg. 6, point by point: per dimension (ascending),
+/// one flat loop N-1 ... 0 with an idx2bp decode and two bp2idx parent
+/// lookups per point; a parent on the domain boundary is the nodal value of
+/// the adjacent face's point.
+void hierarchize_boundary_pointwise(BoundaryStorage& storage);
+
+/// Inverse of hierarchize_boundary_pointwise: dimensions descending, flat
+/// order ascending, so parents are restored before their children.
+void dehierarchize_boundary_pointwise(BoundaryStorage& storage);
 
 }  // namespace csg::testing

@@ -73,4 +73,33 @@ std::vector<real_t> evaluate_blocked_scalar(
   return out;
 }
 
+real_t evaluate_boundary_walk(const BoundaryStorage& storage,
+                              const CoordVector& x) {
+  const BoundarySparseGrid& grid = storage.grid();
+  const dim_t d = grid.dim();
+  CSG_EXPECTS(x.size() == d);
+  real_t res = 0;
+  for (flat_index_t base = 0; base < grid.num_points();) {
+    const BoundaryPoint face = grid.idx2bp(base);
+    real_t w = 1;
+    CoordVector proj;
+    for (dim_t t = 0; t < d; ++t) {
+      if (face.fixed(t))
+        w *= face.index[t] == 1 ? x[t] : (1 - x[t]);
+      else
+        proj.push_back(x[t]);
+    }
+    const dim_t free = proj.size();
+    const flat_index_t block = grid.subgrid_points(d - free);
+    if (w != 0)
+      res += w * (free == 0 ? storage[base]
+                            : evaluate_walk(grid.interior_grid(free),
+                                            {storage.values().data() + base,
+                                             static_cast<std::size_t>(block)},
+                                            proj));
+    base += block;
+  }
+  return res;
+}
+
 }  // namespace csg::testing

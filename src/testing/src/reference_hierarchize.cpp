@@ -90,4 +90,55 @@ void hierarchize_literal(CompactStorage& storage) {
   }
 }
 
+namespace {
+
+/// Value of the dimension-t parent of p, where the parent may be an
+/// interior point or a boundary point of an adjacent sub-grid.
+real_t boundary_parent_value(const BoundaryStorage& storage, BoundaryPoint p,
+                             dim_t t, bool right) {
+  const Parent1d par = right ? right_parent_1d(p.level[t], p.index[t])
+                             : left_parent_1d(p.level[t], p.index[t]);
+  if (par.is_boundary) {
+    p.level[t] = kBoundaryLevel;
+    p.index[t] = right ? 1 : 0;
+  } else {
+    p.level[t] = par.level;
+    p.index[t] = par.index;
+  }
+  return storage[storage.grid().bp2idx(p)];
+}
+
+}  // namespace
+
+void hierarchize_boundary_pointwise(BoundaryStorage& storage) {
+  const BoundarySparseGrid& grid = storage.grid();
+  const dim_t d = grid.dim();
+  // Flat descending order puts, inside every sub-grid, higher interior level
+  // groups first — so a point's (strictly lower-level or boundary) parents
+  // in the active dimension are read before they are themselves updated.
+  for (dim_t t = 0; t < d; ++t) {
+    for (flat_index_t idx = grid.num_points(); idx-- > 0;) {
+      const BoundaryPoint p = grid.idx2bp(idx);
+      if (p.fixed(t)) continue;  // boundary coefficients are nodal in t
+      const real_t v1 = boundary_parent_value(storage, p, t, false);
+      const real_t v2 = boundary_parent_value(storage, p, t, true);
+      storage[idx] -= (v1 + v2) / 2;
+    }
+  }
+}
+
+void dehierarchize_boundary_pointwise(BoundaryStorage& storage) {
+  const BoundarySparseGrid& grid = storage.grid();
+  const dim_t d = grid.dim();
+  for (dim_t t = d; t-- > 0;) {
+    for (flat_index_t idx = 0; idx < grid.num_points(); ++idx) {
+      const BoundaryPoint p = grid.idx2bp(idx);
+      if (p.fixed(t)) continue;
+      const real_t v1 = boundary_parent_value(storage, p, t, false);
+      const real_t v2 = boundary_parent_value(storage, p, t, true);
+      storage[idx] += (v1 + v2) / 2;
+    }
+  }
+}
+
 }  // namespace csg::testing

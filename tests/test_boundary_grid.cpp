@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <set>
 
 #include "csg/core/evaluate.hpp"
 #include "csg/core/hierarchize.hpp"
 #include "csg/workloads/functions.hpp"
 #include "csg/workloads/sampling.hpp"
+#include "csg/testing/compare.hpp"
+#include "csg/testing/generators.hpp"
 #include "csg/testing/param_names.hpp"
+#include "csg/testing/reference_evaluate.hpp"
+#include "csg/testing/reference_hierarchize.hpp"
 
 namespace csg {
 namespace {
@@ -36,6 +41,21 @@ TEST(BoundaryGrid, TotalPointsSumOverSubgrids) {
   // 1d interior grids of level 4 hold 15 points; corners hold one.
   EXPECT_EQ(bg.subgrid_points(d), 1u);
   EXPECT_EQ(bg.subgrid_points(d - 1), 15u);
+}
+
+TEST(GridPoints, MatchesBothConstructorsAndFlagsOverflow) {
+  for (dim_t d = 1; d <= 6; ++d)
+    for (level_t n = 1; n <= 6; ++n) {
+      EXPECT_EQ(grid_points(d, n), RegularSparseGrid(d, n).num_points());
+      EXPECT_EQ(grid_points(d, n, true),
+                BoundarySparseGrid(d, n).num_points());
+    }
+  // d=16 n=20 fits 64-bit indices as an interior grid but not with its
+  // boundary faces; n=40 fits neither.
+  EXPECT_TRUE(grid_points(kMaxDim, 20).has_value());
+  EXPECT_FALSE(grid_points(kMaxDim, 20, true).has_value());
+  EXPECT_FALSE(grid_points(kMaxDim, kMaxLevel).has_value());
+  EXPECT_FALSE(grid_points(kMaxDim, kMaxLevel, true).has_value());
 }
 
 struct Case {
@@ -105,6 +125,111 @@ TEST_P(BoundarySweep, EvaluationInterpolatesAtEveryPoint) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BoundarySweep,
     ::testing::Values(Case{1, 4}, Case{2, 4}, Case{3, 3}, Case{4, 3}),
+    [](const ::testing::TestParamInfo<Case>& tpi) {
+      return csg::testing::dn_name(tpi.param.d, tpi.param.n);
+    });
+
+/// I.i.d. values in [-2, 2]; every seventh one is a signed zero, so -0
+/// operands reach the pole ends and the face sums too.
+BoundaryStorage random_boundary(dim_t d, level_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(csg::testing::mix_seed(seed));
+  std::uniform_real_distribution<real_t> dist(-2, 2);
+  BoundaryStorage s(d, n);
+  for (flat_index_t k = 0; k < s.size(); ++k)
+    s[k] = k % 7 == 3 ? std::copysign(real_t{0}, real_t(k % 2) - 0.5)
+                      : dist(rng);
+  return s;
+}
+
+/// `count` points cycling through four kinds: general position, on a face
+/// (one coordinate 0 or 1), a corner, and on grid lines of levels below n.
+std::vector<CoordVector> mixed_points(dim_t d, level_t n, std::size_t count,
+                                      std::uint64_t seed) {
+  std::mt19937_64 rng(csg::testing::mix_seed(seed));
+  std::vector<CoordVector> pts = csg::testing::random_points(rng, d, count);
+  std::uniform_int_distribution<dim_t> dim(0, d - 1);
+  std::uniform_int_distribution<int> bit(0, 1);
+  std::uniform_int_distribution<level_t> lev(0, n - 1);
+  for (std::size_t p = 0; p < count; ++p) {
+    CoordVector& x = pts[p];
+    if (p % 4 == 1) x[dim(rng)] = bit(rng);
+    if (p % 4 == 2)
+      for (dim_t t = 0; t < d; ++t) x[t] = bit(rng);
+    if (p % 4 == 3) {
+      for (dim_t t = 0; t < d; ++t) {
+        if (bit(rng) == 0) continue;
+        const level_t l = lev(rng);
+        const index1d_t i = 2 * std::uniform_int_distribution<index1d_t>(
+                                    0, (index1d_t{1} << l) - 1)(rng) + 1;
+        x[t] = coordinate_1d(l, i);
+      }
+    }
+  }
+  return pts;
+}
+
+void expect_bit_identical(const BoundaryStorage& got,
+                          const BoundaryStorage& want) {
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t bad = 0;
+  for (flat_index_t k = 0; k < got.size(); ++k)
+    if (csg::testing::ulp_distance(got[k], want[k]) != 0 && ++bad <= 3)
+      ADD_FAILURE() << "index " << k << ": "
+                    << csg::testing::describe_mismatch(got[k], want[k]);
+  EXPECT_EQ(bad, 0u);
+}
+
+class BoundaryKernelParity : public ::testing::TestWithParam<Case> {};
+
+TEST_P(BoundaryKernelParity, HierarchizeMatchesPointwiseOracle) {
+  const auto [d, n] = GetParam();
+  BoundaryStorage s = random_boundary(d, n, 10 * d + n);
+  BoundaryStorage ref = s;
+  hierarchize(s);
+  csg::testing::hierarchize_boundary_pointwise(ref);
+  expect_bit_identical(s, ref);
+}
+
+TEST_P(BoundaryKernelParity, DehierarchizeMatchesPointwiseOracle) {
+  const auto [d, n] = GetParam();
+  BoundaryStorage s = random_boundary(d, n, 100 + 10 * d + n);
+  BoundaryStorage ref = s;
+  dehierarchize(s);
+  csg::testing::dehierarchize_boundary_pointwise(ref);
+  expect_bit_identical(s, ref);
+}
+
+TEST_P(BoundaryKernelParity, BatchEvaluateMatchesSinglePointAndOracle) {
+  const auto [d, n] = GetParam();
+  const BoundaryStorage s = random_boundary(d, n, 200 + 10 * d + n);
+  // 7 and 130 leave partial blocks; 130 spans three 64-point blocks.
+  for (const std::size_t count : {0, 1, 7, 130}) {
+    const auto pts = mixed_points(d, n, count, 300 + count);
+    const std::vector<real_t> batch = evaluate(s, pts);
+    ASSERT_EQ(batch.size(), count);
+    for (std::size_t p = 0; p < count; ++p) {
+      const real_t single = evaluate(s, pts[p]);
+      const real_t walk = csg::testing::evaluate_boundary_walk(s, pts[p]);
+      EXPECT_EQ(csg::testing::ulp_distance(batch[p], single), 0u)
+          << "batch " << count << " point " << p << ": "
+          << csg::testing::describe_mismatch(batch[p], single);
+      EXPECT_EQ(csg::testing::ulp_distance(batch[p], walk), 0u)
+          << "batch " << count << " point " << p << ": "
+          << csg::testing::describe_mismatch(batch[p], walk);
+    }
+  }
+}
+
+// d = 1..6; at n = 1 every pole is a single point between non-zero ends.
+std::vector<Case> parity_shapes() {
+  std::vector<Case> shapes;
+  for (dim_t d = 1; d <= 6; ++d)
+    for (const level_t n : {1, 2, 4, 6}) shapes.push_back({d, n});
+  return shapes;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BoundaryKernelParity, ::testing::ValuesIn(parity_shapes()),
     [](const ::testing::TestParamInfo<Case>& tpi) {
       return csg::testing::dn_name(tpi.param.d, tpi.param.n);
     });

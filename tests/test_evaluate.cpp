@@ -90,7 +90,8 @@ TEST(Evaluate, SpanFormMatchesStorageForm) {
   const CompactStorage s = compressed(workloads::gaussian_bump(2), 2, 5);
   const std::span<const real_t> coeffs(s.data(), s.values().size());
   for (const CoordVector& x : workloads::uniform_points(2, 50, 3))
-    EXPECT_EQ(evaluate_span(s.grid(), coeffs, x), evaluate(s, x));
+    EXPECT_EQ(evaluate_span(*EvaluationPlan::shared(s.grid()), coeffs, x),
+              evaluate(s, x));
 }
 
 TEST(Evaluate, InterpolationErrorDecaysWithLevel) {

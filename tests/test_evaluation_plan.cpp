@@ -248,7 +248,9 @@ TEST_P(PlanParity, PlanPathsAreBitIdenticalToTheScalarWalk) {
   const EvaluationPlan plan(s.grid());
   for (std::size_t p = 0; p < pts.size(); ++p) {
     EXPECT_EQ(evaluate_span(plan, coeffs, pts[p]), reference[p]) << p;
-    EXPECT_EQ(evaluate_span(s.grid(), coeffs, pts[p]), reference[p]) << p;
+    EXPECT_EQ(evaluate_span(*EvaluationPlan::shared(s.grid()), coeffs, pts[p]),
+              reference[p])
+        << p;
     EXPECT_EQ(evaluate(s, pts[p]), reference[p]) << p;
   }
 

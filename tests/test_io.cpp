@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -432,6 +433,60 @@ TEST(SerializeNonFinite, AdaptiveNodalAndSurplusRejected) {
                     "csg::io::load_adaptive", 2);
   expect_non_finite(with_real_at(buffer.str(), nodal1 + 8, kInf),
                     load_adaptive, "csg::io::load_adaptive", 3);
+}
+
+/// A saved file with its header's (d, n) overwritten (u32s at bytes 12 and
+/// 16); the count and the payload keep the small grid's values.
+std::string with_shape(std::string bytes, std::uint32_t d, std::uint32_t n) {
+  std::memcpy(bytes.data() + 12, &d, sizeof(d));
+  std::memcpy(bytes.data() + 16, &n, sizeof(n));
+  return bytes;
+}
+
+/// The load must fail with `loader`'s csg::io error naming `what`: not
+/// abort in a grid constructor, and not throw std::bad_alloc (which is no
+/// std::runtime_error) from a coefficient array allocated first.
+template <class Load>
+void expect_shape_error(const std::string& bytes, Load load,
+                        const std::string& loader, const std::string& what) {
+  std::stringstream in(bytes);
+  try {
+    load(in);
+    FAIL() << loader << " accepted a corrupt shape";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), loader + ": " + what);
+  }
+}
+
+TEST(SerializeCorruptShape, CompactHeaderFailsBeforeAllocating) {
+  std::stringstream buffer;
+  save(CompactStorage(1, 1), buffer);  // 36 bytes: header + one double
+  ASSERT_EQ(buffer.str().size(), 36u);
+  expect_shape_error(with_shape(buffer.str(), 16, 40), load, "csg::io::load",
+                     "grid shape too large for 64-bit indices");
+  // 1.3e15 points, about 11 PB of coefficients.
+  expect_shape_error(with_shape(buffer.str(), 16, 20), load, "csg::io::load",
+                     "point count does not match grid dimensions");
+}
+
+TEST(SerializeCorruptShape, BoundaryHeaderFailsBeforeAllocating) {
+  std::stringstream buffer;
+  save(BoundaryStorage(1, 1), buffer);
+  for (const std::uint32_t n : {40u, 20u})
+    expect_shape_error(with_shape(buffer.str(), 16, n), load_boundary,
+                       "csg::io::load_boundary",
+                       "grid shape too large for 64-bit indices");
+  expect_shape_error(with_shape(buffer.str(), 2, 3), load_boundary,
+                     "csg::io::load_boundary",
+                     "point count does not match grid shape");
+}
+
+TEST(SerializeCorruptShape, TruncatedHeaderFailsBeforeBuildingTheGrid) {
+  std::stringstream buffer;
+  save(TruncatedStorage(make_storage(), 1e-4), buffer);
+  expect_shape_error(with_shape(buffer.str(), 16, 40), load_truncated,
+                     "csg::io::load_truncated",
+                     "grid shape too large for 64-bit indices");
 }
 
 TEST(Serialize, EmptyGridSerializes) {

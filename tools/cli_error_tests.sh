@@ -150,6 +150,17 @@ cp "$WORK/g.csg" "$WORK/nan.csg"
 printf '\000\000\000\000\000\000\370\177' |
     dd of="$WORK/nan.csg" bs=1 seek=36 conv=notrunc 2>/dev/null
 expect 1 "non-finite" info "$WORK/nan.csg"
+# A corrupt shape in a 36-byte CSG1 file (header + one double; d=16 over
+# bytes 12..15, n over 16..19) is a load error, not an abort (exit 134)
+# or an allocation of petabytes.
+"$CSGTOOL" create --dims 1 --level 1 -o "$WORK/one.csg" >/dev/null ||
+    { echo "FAIL: setup create --dims 1 --level 1" >&2; exit 1; }
+for n in '\050' '\024'; do   # n = 40 and n = 20, as octal escapes
+    cp "$WORK/one.csg" "$WORK/shape.csg"
+    printf "\020\000\000\000${n}\000\000\000" |
+        dd of="$WORK/shape.csg" bs=1 seek=12 conv=notrunc 2>/dev/null
+    expect 1 "csg::io::load:" info "$WORK/shape.csg"
+done
 
 if [ "$FAILURES" -ne 0 ]; then
     echo "cli_error_tests: $FAILURES failure(s)" >&2

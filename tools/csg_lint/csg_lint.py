@@ -61,6 +61,11 @@ Rules (catalog and suppression policy in docs/STATIC_ANALYSIS.md):
                          locate belongs to the one SoA kernel (evaluate.cpp),
                          whose table pass replaces it; the single-point
                          gradient walk is the one tagged exception
+  one-pole-sweep         in the same modules, no left_parent_1d or
+                         right_parent_1d call: hierarchization runs the
+                         pole sweep (hierarchize.cpp), which carries a
+                         pole's ancestors down its recursion instead of
+                         looking parents up point by point
 
 Findings are suppressed per site, never blanket:
   code();  // csg-lint: allow(rule-name) -- reason
@@ -809,6 +814,37 @@ class HeaderSelfContainedRule(Rule):
         return findings
 
 
+class OnePoleSweepRule(Rule):
+    name = "one-pole-sweep"
+    description = (
+        "no left_parent_1d/right_parent_1d call in the production modules: "
+        "interior and boundary grids hierarchize with the pole sweep of "
+        "src/core/src/hierarchize.cpp"
+    )
+
+    # Same scope and exemptions as one-eval-walk.
+    SCOPE = OneEvalWalkRule.SCOPE
+    CALL = re.compile(r"\b(?:left|right)_parent_1d\s*\(")
+    # Their definitions (grid_point.hpp) are not calls.
+    DEFINITION = re.compile(r"\bParent1d\s+(?:left|right)_parent_1d\s*\(")
+
+    def applies(self, relpath):
+        return relpath.replace(os.sep, "/").startswith(self.SCOPE)
+
+    def run(self, src):
+        findings = []
+        for m in self.CALL.finditer(src.masked):
+            line = src.line_of_offset(m.start())
+            if self.DEFINITION.search(src.masked_lines[line - 1]):
+                continue
+            findings.append(Finding(
+                self.name, src.relpath, line,
+                "per-point parent lookup: hierarchize through the pole sweep "
+                "(detail::transform_pole_family, hierarchize.hpp), whose "
+                "recursion hands each point its parents"))
+        return findings
+
+
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -818,7 +854,7 @@ def text_rules(_args):
             OmpLoopCounterRule(), PragmaOnceRule(), BenchSeedRule(),
             MutexGuardAnnotationsRule(), SimdScalarParityRule(),
             ExactPow2Rule(), OneCounterListRule(), OneIoCodecRule(),
-            OneEvalWalkRule()]
+            OneEvalWalkRule(), OnePoleSweepRule()]
 
 
 def collect_sources(root):
@@ -907,6 +943,7 @@ FIXTURES = {
     "one-counter-list": "bad_counter_member.cpp",
     "one-io-codec": "bad_io_loader.cpp",
     "one-eval-walk": "bad_eval_walk.cpp",
+    "one-pole-sweep": "bad_parent_lookup.cpp",
 }
 
 
