@@ -46,6 +46,13 @@ inline dim_t sweep_dimension(dim_t d, dim_t k, bool inverse) {
 /// i.e. the subspaces of the (d-1)-dimensional grid of the same level.
 std::uint64_t pole_root_count(const RegularSparseGrid& grid);
 
+/// The families whose poles have at least 2 points: the roots with
+/// |l|_1 <= n-2, i.e. exactly the ranks below C(d-3+n, d-1) (none at
+/// n = 1). Between zero ends the rest are single-point poles that only
+/// read their one point, so the zero-boundary sweeps visit only these. The
+/// skipped last group is (d-1)/(d-2+n) of all ranks, half at d = n = 10.
+std::uint64_t multipoint_root_count(const RegularSparseGrid& grid);
+
 /// The dimension-t pole roots by rank r < pole_root_count(grid): root r is
 /// the r-th level vector of the (d-1)-dimensional grid of the same level,
 /// with l[t] = 0 inserted. Ranked access lets threads split the roots
@@ -71,9 +78,10 @@ class PoleRoots {
 /// array `data` laid out by `grid` (forward or inverse); `offs` is scratch
 /// of grid.level() entries. Families are disjoint, so callers may run roots
 /// concurrently (csg::parallel::omp_hierarchize does). Null `left`/`right`
-/// mean zero ends: each pole's level-0 point is only read and single-point
-/// poles are skipped. Otherwise the k-th pole in row-major (A, B) order has
-/// ends left[k], right[k] and is updated from level 0 (boundary_grid.hpp).
+/// mean zero ends: each pole's level-0 point is only read, and the root
+/// must rank below multipoint_root_count(grid). Otherwise the k-th pole in
+/// row-major (A, B) order has ends left[k], right[k] and is updated from
+/// level 0, single-point poles included (boundary_grid.hpp).
 void transform_pole_family(const RegularSparseGrid& grid, real_t* data,
                            dim_t t, const LevelVector& root, bool inverse,
                            std::span<flat_index_t> offs,

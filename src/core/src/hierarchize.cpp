@@ -48,7 +48,7 @@ struct PoleTransform {
 
 void sweep(CompactStorage& storage, bool inverse) {
   const RegularSparseGrid& grid = storage.grid();
-  const std::uint64_t roots = detail::pole_root_count(grid);
+  const std::uint64_t roots = detail::multipoint_root_count(grid);
   std::vector<flat_index_t> offs(grid.level());
   for (dim_t k = 0; k < grid.dim(); ++k) {
     const dim_t t = detail::sweep_dimension(grid.dim(), k, inverse);
@@ -67,6 +67,13 @@ std::uint64_t pole_root_count(const RegularSparseGrid& grid) {
   const dim_t d = grid.dim();
   // sum_{j<n} C(d-2+j, d-2) = C(d-2+n, d-1)
   return d == 1 ? 1 : grid.binmat()(d - 2 + grid.level(), d - 1);
+}
+
+std::uint64_t multipoint_root_count(const RegularSparseGrid& grid) {
+  const dim_t d = grid.dim();
+  const level_t n = grid.level();
+  // sum_{j<n-1} C(d-2+j, d-2) = C(d-3+n, d-1)
+  return n == 1 ? 0 : d == 1 ? 1 : grid.binmat()(d - 3 + n, d - 1);
 }
 
 PoleRoots::PoleRoots(const RegularSparseGrid& grid, dim_t t)
@@ -102,9 +109,9 @@ void transform_pole_family(const RegularSparseGrid& grid, real_t* data,
   CSG_ASSERT(root[t] == 0 && offs.size() > budget);
   CSG_ASSERT((left == nullptr) == (right == nullptr));
   // Between zero ends a pole's level-0 point would add or subtract zero: it
-  // is only read, and single-point poles are skipped outright (the
-  // group-order oracle never touches them either).
-  if (budget == 0 && left == nullptr) return;
+  // is only read, and single-point poles are never passed (the group-order
+  // oracle never touches them either).
+  CSG_ASSERT(budget > 0 || left != nullptr);
   LevelVector lt = root;
   for (level_t lev = 0; lev <= budget; ++lev) {
     lt[t] = lev;

@@ -147,6 +147,22 @@ flat_index_t header_points(const Header& h, const Format& f, bool boundary) {
   return *points;
 }
 
+/// Fails with `truncated` when the stream can report its size and holds
+/// fewer than `count` items of `item_bytes` past the read position, so a
+/// consistent header over a short payload allocates nothing. A stream that
+/// cannot seek is left to the read's own check.
+void expect_payload(std::istream& in, const Format& f, std::uint64_t count,
+                    std::uint64_t item_bytes, const char* truncated) {
+  std::streambuf& buf = *in.rdbuf();
+  const auto here = buf.pubseekoff(0, std::ios::cur, std::ios::in);
+  if (here == std::streampos(-1)) return;
+  const auto end = buf.pubseekoff(0, std::ios::end, std::ios::in);
+  buf.pubseekpos(here, std::ios::in);
+  if (end != std::streampos(-1) &&
+      static_cast<std::uint64_t>(end - here) / item_bytes < count)
+    fail(f.loader, truncated);
+}
+
 /// CSG1 and CSB1: (d, n) fixes the layout, so the payload is the whole
 /// coefficient array in index order, written and read in one bulk call.
 template <class Storage>
@@ -163,6 +179,7 @@ Storage load_dense(std::istream& in, const Format& f, const char* mismatch,
   const Header h = read_header(in, f);
   if (header_points(h, f, std::is_same_v<Storage, BoundaryStorage>) != h.count)
     fail(f.loader, mismatch);
+  expect_payload(in, f, h.count, sizeof(real_t), truncated);
   Storage storage(h.d, h.n);
   get_reals(in, f, {&storage[0], static_cast<std::size_t>(h.count)},
             truncated);
@@ -225,6 +242,8 @@ TruncatedStorage load_truncated(std::istream& in) {
     fail(kTruncated.loader, "header out of range");
   if (h.count > header_points(h, kTruncated, false))
     fail(kTruncated.loader, "more survivors than grid points");
+  expect_payload(in, kTruncated, h.count, sizeof(flat_index_t) + sizeof(real_t),
+                 "truncated payload");
   RegularSparseGrid grid(h.d, h.n);
   std::vector<flat_index_t> indices(static_cast<std::size_t>(h.count));
   std::vector<real_t> values(static_cast<std::size_t>(h.count));

@@ -2,8 +2,8 @@
 //
 // Hierarchization on the compact structure runs the pole sweep of
 // csg::hierarchize (hierarchize.hpp): within one dimension the pole
-// families are disjoint, so they are distributed statically over threads
-// and the only synchronization is one barrier per dimension — not one per
+// families are disjoint, so they are handed out in dynamic chunks and the
+// only synchronization is one barrier per dimension — not one per
 // level group as in the paper's Sec. 5.3 decomposition, whose per-group
 // order lives on as the oracle in csg::testing and as the simulated-GPU
 // kernels in csg::gpusim. Evaluation is embarrassingly parallel over the
@@ -36,8 +36,11 @@
 namespace csg::parallel {
 
 /// Parallel hierarchization on the compact structure: the pole sweep with
-/// each dimension's pole families split statically over threads.
-/// Bit-identical to csg::hierarchize for every thread count.
+/// each dimension's multi-point pole families (detail::multipoint_root_count)
+/// handed out in dynamic chunks. A static split of every rank would give
+/// the last threads only the single-point families, (d-1)/(d-2+n) of the
+/// ranks, and no work. Bit-identical to csg::hierarchize for every thread
+/// count.
 void omp_hierarchize(CompactStorage& storage, int num_threads);
 
 /// Parallel inverse transform (dimensions descending, same decomposition).

@@ -17,23 +17,23 @@ void tsan_gomp_bridge_anchor();
 namespace {
 
 /// The pole sweep of csg::hierarchize/dehierarchize with each dimension's
-/// pole families split statically across the team. Families are disjoint,
-/// so the loop needs no barrier of its own (nowait); the join closing the
-/// parallel region is the one barrier per dimension.
+/// multi-point pole families handed out in dynamic chunks. Families are
+/// disjoint, so the loop needs no barrier of its own (nowait); the join
+/// closing the parallel region is the one barrier per dimension.
 void omp_sweep(CompactStorage& storage, bool inverse, int num_threads) {
   CSG_EXPECTS(num_threads >= 1);
   const RegularSparseGrid& grid = storage.grid();
   const auto count =
-      static_cast<std::int64_t>(csg::detail::pole_root_count(grid));
+      static_cast<std::int64_t>(csg::detail::multipoint_root_count(grid));
   for (dim_t k = 0; k < grid.dim(); ++k) {
     const dim_t t = csg::detail::sweep_dimension(grid.dim(), k, inverse);
 #pragma omp parallel num_threads(num_threads)
     {
-      // Per thread: a static schedule hands each thread one run of
-      // consecutive ranks, so its cursor unranks once and then steps.
       csg::detail::PoleRoots root(grid, t);
       std::vector<flat_index_t> offs(grid.level());
-#pragma omp for schedule(static) nowait
+      // Chunks of 16 families: the cursor unranks once per chunk, and a
+      // thread slowed by its cache or a preemption takes fewer chunks.
+#pragma omp for schedule(dynamic, 16) nowait
       for (std::int64_t r = 0; r < count; ++r)
         csg::detail::transform_pole_family(
             grid, storage.data(), t, root[static_cast<std::uint64_t>(r)],

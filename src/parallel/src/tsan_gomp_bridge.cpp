@@ -12,8 +12,9 @@
 // GOMP_parallel, GOMP_task, GOMP_barrier, and the dynamic-schedule loop
 // family GOMP_loop_nonmonotonic_dynamic_start/_next + GOMP_loop_end[_nowait]
 // (schedule(static) loops lower to plain GOMP_parallel with no GOMP_loop_*
-// calls; schedule(dynamic), used by the combination-grid recombine loop,
-// dispatches chunks through the nonmonotonic entry points) — and re-creates
+// calls; schedule(dynamic), used by the pole sweep of omp_hierarchize /
+// omp_dehierarchize and by the combination-grid recombine loop, dispatches
+// chunks through the nonmonotonic entry points) — and re-creates
 // exactly those edges with __tsan_release/__tsan_acquire:
 //
 //   fork:    release(fork_tag) inside our GOMP_parallel (after the caller

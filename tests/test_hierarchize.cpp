@@ -167,6 +167,28 @@ INSTANTIATE_TEST_SUITE_P(
       return csg::testing::dn_name(tpi.param.d, tpi.param.n);
     });
 
+TEST(Hierarchize, MultipointRootCountMatchesPoleRootWalk) {
+  // Every rank below the count roots poles of at least 2 points (|l|_1 <=
+  // n-2); every rank at or past it roots single-point poles (|l|_1 = n-1),
+  // which the zero-boundary sweeps never visit.
+  for (dim_t d = 1; d <= 8; ++d)
+    for (level_t n = 1; n <= 10; ++n) {
+      const RegularSparseGrid grid(d, n);
+      const std::uint64_t count = detail::multipoint_root_count(grid);
+      for (const dim_t t : {dim_t{0}, static_cast<dim_t>(d - 1)}) {
+        detail::PoleRoots root(grid, t);
+        std::uint64_t multipoint = 0;
+        for (std::uint64_t r = 0; r < detail::pole_root_count(grid); ++r) {
+          const bool single = root[r].l1_norm() == n - 1;
+          multipoint += single ? 0 : 1;
+          ASSERT_EQ(single, r >= count)
+              << "d=" << d << " n=" << n << " t=" << t << " r=" << r;
+        }
+        ASSERT_EQ(multipoint, count) << "d=" << d << " n=" << n;
+      }
+    }
+}
+
 TEST(Hierarchize, ParentFlatIndexMatchesManualLookup) {
   RegularSparseGrid g(3, 5);
   for (flat_index_t j = 0; j < g.num_points(); ++j) {

@@ -489,6 +489,34 @@ TEST(SerializeCorruptShape, TruncatedHeaderFailsBeforeBuildingTheGrid) {
                      "grid shape too large for 64-bit indices");
 }
 
+TEST(SerializeCorruptShape, ShortPayloadFailsBeforeAllocating) {
+  // A consistent header (shape and its true count) over the small grid's
+  // payload: the loaders compare the bytes the header implies with the
+  // bytes left before allocating, and fail as truncated instead of
+  // allocating (here: throwing std::bad_alloc for) petabytes.
+  const auto with_count = [](const std::string& bytes, std::uint32_t d,
+                             std::uint32_t n, std::uint64_t count) {
+    return with_shape(bytes, d, n).replace(
+        20, sizeof(count), reinterpret_cast<const char*>(&count),
+        sizeof(count));
+  };
+  std::stringstream compact, boundary, truncated;
+  save(CompactStorage(1, 1), compact);  // 36 bytes: header + one double
+  const flat_index_t points = *grid_points(16, 20);  // 1.3e15 points
+  expect_shape_error(with_count(compact.str(), 16, 20, points), load,
+                     "csg::io::load", "truncated coefficient payload");
+  save(BoundaryStorage(1, 1), boundary);
+  const flat_index_t boundary_points = *grid_points(12, 12, true);
+  ASSERT_GT(boundary_points, flat_index_t{1} << 40);
+  expect_shape_error(with_count(boundary.str(), 12, 12, boundary_points),
+                     load_boundary, "csg::io::load_boundary",
+                     "truncated payload");
+  save(TruncatedStorage(make_storage(), 1e-4), truncated);
+  expect_shape_error(with_count(truncated.str(), 16, 20, points),
+                     load_truncated, "csg::io::load_truncated",
+                     "truncated payload");
+}
+
 TEST(Serialize, EmptyGridSerializes) {
   CompactStorage tiny(2, 1);  // one point
   tiny[0] = 7.5;

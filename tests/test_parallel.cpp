@@ -83,12 +83,15 @@ TEST_P(ThreadSweep, OmpDehierarchizeMatchesSequential) {
 
 TEST_P(ThreadSweep, OmpTransformsWithMoreThreadsThanPoleRoots) {
   // d=1 has one pole root per dimension, d=2 n=2 two, d=3 n=1 one: most
-  // threads of the team get no pole family at all.
+  // threads of the team get no pole family at all. The sweep visits only
+  // the multi-point families, and single-point ones (|l|_1 = n-1) are 45 of
+  // 55 ranks at d=10 n=3, 210 of 330 at d=8 n=5 and 9 of 10 at d=10 n=2;
+  // d=4 n=8 has 84 multi-point families, six chunks with a short last one.
   const int threads = GetParam();
   const struct {
     dim_t d;
     level_t n;
-  } shapes[] = {{1, 6}, {2, 2}, {3, 1}};
+  } shapes[] = {{1, 6}, {2, 2}, {3, 1}, {10, 3}, {8, 5}, {10, 2}, {4, 8}};
   for (const auto [d, n] : shapes) {
     CompactStorage seq(d, n);
     seq.sample(workloads::oscillatory(d).f);

@@ -161,6 +161,13 @@ for n in '\050' '\024'; do   # n = 40 and n = 20, as octal escapes
         dd of="$WORK/shape.csg" bs=1 seek=12 conv=notrunc 2>/dev/null
     expect 1 "csg::io::load:" info "$WORK/shape.csg"
 done
+# A consistent header over a short payload: d=16, n=20 and its true count
+# (1,345,544,475,639,809 points, u64 at bytes 20..27) fail as a truncated
+# payload instead of allocating the coefficient array first (bad_alloc).
+cp "$WORK/one.csg" "$WORK/short.csg"
+printf '\020\000\000\000\024\000\000\000\001\000\200\374\303\307\004\000' |
+    dd of="$WORK/short.csg" bs=1 seek=12 conv=notrunc 2>/dev/null
+expect 1 "csg::io::load: truncated coefficient payload" info "$WORK/short.csg"
 
 if [ "$FAILURES" -ne 0 ]; then
     echo "cli_error_tests: $FAILURES failure(s)" >&2
