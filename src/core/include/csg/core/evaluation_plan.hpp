@@ -12,11 +12,12 @@
 // turning the inner loop of Alg. 7 into "for s: read d levels, read one
 // base, accumulate" over two contiguous arrays. The plan depends only on
 // (d, n), costs O(|subspaces| * d) memory — tiny next to the coefficient
-// array — and is shared read-only by any number of threads.
+// array — and is shared read-only by any number of threads. Each
+// RegularSparseGrid owns one, built on first use (RegularSparseGrid::plan()),
+// so plans live exactly as long as the grids they serve.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -59,48 +60,15 @@ class EvaluationPlan {
            offsets_.size() * sizeof(flat_index_t);
   }
 
-  /// Observable state of the process-wide plan cache (all counters are
-  /// cumulative since process start or the last shared_cache_clear()).
-  struct SharedCacheStats {
-    std::size_t size = 0;      ///< plans currently resident
-    std::size_t capacity = 0;  ///< LRU bound (>= 1)
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;      ///< lookups that had to build a plan
-    std::uint64_t evictions = 0;   ///< plans dropped by the LRU bound
-    std::uint64_t build_races = 0; ///< concurrent builds of the same key
-                                   ///< resolved to the first insert
-    /// Bytes of the plans currently resident — live state only: an evicted
-    /// plan's bytes leave this figure even while callers still hold it.
-    std::size_t memory_bytes = 0;
-  };
-
-  /// Process-wide plan cache keyed by (d, n). All evaluate() entry points
-  /// that are handed only a grid go through here, so repeated batched
-  /// queries against the same grid shape pay the flattening cost once.
-  /// Thread-safe; the returned plan is immutable and safe to share.
-  ///
-  /// The cache is a capacity-bounded LRU (default kDefaultSharedCacheCap
-  /// plans): a long-lived server touching many (d, n) shapes holds at most
-  /// `capacity` plans; least-recently-used shapes are dropped. Eviction
-  /// never invalidates outstanding shared_ptrs — holders (e.g. a
-  /// serve::GridRegistry pinning the plans it fronts) keep their plan
-  /// alive; only the cache's reference is released.
+  /// The plan of `grid`, which owns it (RegularSparseGrid::plan()). Kept
+  /// only as a forwarding shim for perfbench until its next change; call
+  /// grid.plan() instead (csg-lint one-plan-owner).
   static std::shared_ptr<const EvaluationPlan> shared(
       const RegularSparseGrid& grid);
 
-  /// Default LRU capacity of the shared cache, in plans.
-  static constexpr std::size_t kDefaultSharedCacheCap = 64;
-
-  /// Snapshot of the shared cache counters (thread-safe).
-  static SharedCacheStats shared_cache_stats();
-
-  /// Drop every cached plan and reset all counters; capacity is kept.
-  /// Outstanding shared_ptrs stay valid.
+  /// No-op, kept for perfbench next to shared(): every plan belongs to its
+  /// grid, so there is no process-wide plan left to drop.
   static void shared_cache_clear();
-
-  /// Rebound the LRU capacity (>= 1), evicting immediately if the cache
-  /// currently holds more than `cap` plans.
-  static void shared_cache_set_capacity(std::size_t cap);
 
  private:
   dim_t d_;

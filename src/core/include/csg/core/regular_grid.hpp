@@ -9,6 +9,8 @@
 // of a point decomposes as index1 + index2 + index3 (paper Sec. 4.1).
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -18,6 +20,8 @@
 #include "csg/core/types.hpp"
 
 namespace csg {
+
+class EvaluationPlan;
 
 /// Points of the grid of dimension d and level n — with `boundary`, of its
 /// boundary grid: 2^j C(d, j) faces of dimension d - j (Sec. 4.4) — counted
@@ -47,7 +51,8 @@ class RegularSparseGrid {
   /// A grid of dimension d >= 1 with n >= 1 level groups (the paper's
   /// "sparse grid of level n"). Precomputes binmat and the level-group
   /// offset table; both are O(d * n) small.
-  RegularSparseGrid(dim_t d, level_t n) : d_(d), n_(n) {
+  RegularSparseGrid(dim_t d, level_t n)
+      : d_(d), n_(n), plan_(std::make_shared<PlanSlot>()) {
     CSG_EXPECTS(grid_points(d, n) && "grid too large for 64-bit flat indices");
     binmat_ = BinomialTable(d - 1 + n);
     group_offset_.resize(n + 1);
@@ -188,16 +193,33 @@ class RegularSparseGrid {
     return lo;
   }
 
+  /// The flattened Alg. 3/5 subspace enumeration that every evaluation
+  /// entry point walks (evaluation_plan.hpp). Built on the first call and
+  /// shared by every copy of this grid; thread-safe, and after the first
+  /// call it takes no lock.
+  const EvaluationPlan& plan() const;
+
   friend bool operator==(const RegularSparseGrid& a,
                          const RegularSparseGrid& b) {
     return a.d_ == b.d_ && a.n_ == b.n_;
   }
 
  private:
+  friend class EvaluationPlan;  // shared(): hands out the slot's plan
+
+  // The plan depends only on (d, n), so copies of a grid share one slot.
+  // shared_ptr<const EvaluationPlan> may be destroyed where the plan's type
+  // is incomplete, which keeps evaluation_plan.hpp out of this header.
+  struct PlanSlot {
+    std::once_flag built;
+    std::shared_ptr<const EvaluationPlan> plan;
+  };
+
   dim_t d_;
   level_t n_;
   BinomialTable binmat_;
   std::vector<flat_index_t> group_offset_;  // size n+1; [n] == num_points()
+  std::shared_ptr<PlanSlot> plan_;
 };
 
 /// Convenience: N(d, n) without building a grid (used by size planning and

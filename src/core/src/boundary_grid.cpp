@@ -237,7 +237,7 @@ std::vector<real_t> evaluate(const BoundaryStorage& storage,
     values.assign(ids.size(), free == 0 ? storage[base] : real_t{0});
     if (free > 0 && !ids.empty())
       evaluate_blocked_into(
-          *EvaluationPlan::shared(grid.interior_grid(free)),
+          grid.interior_grid(free).plan(),
           {storage.values().data() + base,
            static_cast<std::size_t>(grid.subgrid_points(d - free))},
           proj, 64, values);

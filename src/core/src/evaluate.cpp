@@ -152,7 +152,7 @@ real_t evaluate_span(const EvaluationPlan& plan,
 }
 
 real_t evaluate(const CompactStorage& storage, const CoordVector& x) {
-  return evaluate_span(*EvaluationPlan::shared(storage.grid()),
+  return evaluate_span(storage.grid().plan(),
                        std::span<const real_t>(storage.data(),
                                                storage.values().size()),
                        x);
@@ -209,9 +209,8 @@ std::vector<real_t> evaluate_many_blocked(const EvaluationPlan& plan,
 std::vector<real_t> evaluate_many_blocked(const CompactStorage& storage,
                                           std::span<const CoordVector> points,
                                           std::size_t block_size) {
-  const auto plan = EvaluationPlan::shared(storage.grid());
   return evaluate_many_blocked(
-      *plan,
+      storage.grid().plan(),
       std::span<const real_t>(storage.data(), storage.values().size()),
       points, block_size);
 }

@@ -1,11 +1,6 @@
 #include "csg/core/evaluation_plan.hpp"
 
-#include <list>
-#include <map>
-#include <utility>
-
 #include "csg/core/level_enumeration.hpp"
-#include "csg/core/thread_annotations.hpp"
 
 namespace csg {
 
@@ -36,110 +31,19 @@ EvaluationPlan::EvaluationPlan(const RegularSparseGrid& grid)
   CSG_ENSURES(offsets_.size() == total_subspaces);
 }
 
-namespace {
-
-// The process-wide LRU plan cache. A plain unbounded map here was the
-// footprint bug a long-lived multi-grid server hits: every (d, n) shape
-// ever evaluated stayed resident forever. The cache now keeps at most
-// `capacity` plans in recency order; the map indexes into the recency list
-// so both lookup and LRU maintenance are O(log size).
-struct PlanCache {
-  using Key = std::pair<dim_t, level_t>;
-  struct Entry {
-    Key key;
-    std::shared_ptr<const EvaluationPlan> plan;
-  };
-
-  Mutex mutex;
-  // Front = most recently used. std::list iterators stay valid across
-  // splice, which is all reordering ever does.
-  std::list<Entry> lru CSG_GUARDED_BY(mutex);
-  std::map<Key, std::list<Entry>::iterator> index CSG_GUARDED_BY(mutex);
-  std::size_t capacity CSG_GUARDED_BY(mutex) =
-      EvaluationPlan::kDefaultSharedCacheCap;
-  std::uint64_t hits CSG_GUARDED_BY(mutex) = 0;
-  std::uint64_t misses CSG_GUARDED_BY(mutex) = 0;
-  std::uint64_t evictions CSG_GUARDED_BY(mutex) = 0;
-  std::uint64_t build_races CSG_GUARDED_BY(mutex) = 0;
-
-  /// Drops least-recently-used entries down to cap.
-  void evict_to_capacity() CSG_REQUIRES(mutex) {
-    while (lru.size() > capacity) {
-      index.erase(lru.back().key);
-      lru.pop_back();
-      ++evictions;
-    }
-  }
-};
-
-PlanCache& plan_cache() {
-  static PlanCache cache;
-  return cache;
+const EvaluationPlan& RegularSparseGrid::plan() const {
+  std::call_once(plan_->built, [this] {
+    plan_->plan = std::make_shared<const EvaluationPlan>(*this);
+  });
+  return *plan_->plan;
 }
-
-}  // namespace
 
 std::shared_ptr<const EvaluationPlan> EvaluationPlan::shared(
     const RegularSparseGrid& grid) {
-  PlanCache& cache = plan_cache();
-  const PlanCache::Key key{grid.dim(), grid.level()};
-  {
-    MutexLock lock(cache.mutex);
-    const auto it = cache.index.find(key);
-    if (it != cache.index.end()) {
-      ++cache.hits;
-      cache.lru.splice(cache.lru.begin(), cache.lru, it->second);
-      return it->second->plan;
-    }
-    ++cache.misses;
-  }
-  // Build outside the lock so concurrent first-time callers of different
-  // shapes do not serialize on the flattening. Two threads racing on the
-  // same key both build; the re-check below keeps the first insert and
-  // discards the loser's copy, so the cache never holds duplicates.
-  auto plan = std::make_shared<const EvaluationPlan>(grid);
-  MutexLock lock(cache.mutex);
-  const auto it = cache.index.find(key);
-  if (it != cache.index.end()) {
-    ++cache.build_races;
-    cache.lru.splice(cache.lru.begin(), cache.lru, it->second);
-    return it->second->plan;
-  }
-  cache.lru.push_front({key, std::move(plan)});
-  cache.index.emplace(key, cache.lru.begin());
-  cache.evict_to_capacity();
-  return cache.lru.front().plan;
+  (void)grid.plan();
+  return grid.plan_->plan;
 }
 
-EvaluationPlan::SharedCacheStats EvaluationPlan::shared_cache_stats() {
-  PlanCache& cache = plan_cache();
-  MutexLock lock(cache.mutex);
-  SharedCacheStats stats;
-  stats.size = cache.lru.size();
-  stats.capacity = cache.capacity;
-  stats.hits = cache.hits;
-  stats.misses = cache.misses;
-  stats.evictions = cache.evictions;
-  stats.build_races = cache.build_races;
-  for (const auto& entry : cache.lru)
-    stats.memory_bytes += entry.plan->memory_bytes();
-  return stats;
-}
-
-void EvaluationPlan::shared_cache_clear() {
-  PlanCache& cache = plan_cache();
-  MutexLock lock(cache.mutex);
-  cache.lru.clear();
-  cache.index.clear();
-  cache.hits = cache.misses = cache.evictions = cache.build_races = 0;
-}
-
-void EvaluationPlan::shared_cache_set_capacity(std::size_t cap) {
-  CSG_EXPECTS(cap >= 1);
-  PlanCache& cache = plan_cache();
-  MutexLock lock(cache.mutex);
-  cache.capacity = cap;
-  cache.evict_to_capacity();
-}
+void EvaluationPlan::shared_cache_clear() {}
 
 }  // namespace csg

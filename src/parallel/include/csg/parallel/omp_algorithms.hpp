@@ -60,10 +60,8 @@ std::vector<real_t> omp_evaluate_many_blocked(
     const CompactStorage& storage, std::span<const CoordVector> points,
     std::size_t block_size, int num_threads);
 
-/// Plan-held variant of the parallel blocked evaluation: callers that pin
-/// their plan (the serve::GridRegistry, anything holding a shared plan
-/// across batches) bypass the shared plan cache entirely, so a bounded
-/// cache evicting their shape cannot force a rebuild per batch.
+/// Plan-held variant of the parallel blocked evaluation, for callers that
+/// hold a plan and a coefficient span rather than a CompactStorage.
 std::vector<real_t> omp_evaluate_many_blocked(
     const EvaluationPlan& plan, std::span<const real_t> coeffs,
     std::span<const CoordVector> points, std::size_t block_size,

@@ -55,11 +55,10 @@ void omp_dehierarchize(CompactStorage& storage, int num_threads) {
 std::vector<real_t> omp_evaluate_many_blocked(
     const CompactStorage& storage, std::span<const CoordVector> points,
     std::size_t block_size, int num_threads) {
-  const auto plan = EvaluationPlan::shared(storage.grid());
   const std::span<const real_t> coeffs(storage.data(),
                                        storage.values().size());
-  return omp_evaluate_many_blocked(*plan, coeffs, points, block_size,
-                                   num_threads);
+  return omp_evaluate_many_blocked(storage.grid().plan(), coeffs, points,
+                                   block_size, num_threads);
 }
 
 std::vector<real_t> omp_evaluate_many_blocked(
@@ -69,8 +68,10 @@ std::vector<real_t> omp_evaluate_many_blocked(
   CSG_EXPECTS(num_threads >= 1);
   CSG_EXPECTS(block_size >= 1);
   std::vector<real_t> out(points.size(), 0);
+  // Ceiling without forming size + block - 1, which wraps to 0 blocks for
+  // a block_size near SIZE_MAX.
   const auto num_blocks = static_cast<std::int64_t>(
-      (points.size() + block_size - 1) / block_size);
+      points.size() / block_size + (points.size() % block_size != 0));
   // One iteration per point block; blocks write disjoint out ranges, so
   // the reduction is barrier-free and results are bit-identical for any
   // thread count (each point always sums subspaces in enumeration order).

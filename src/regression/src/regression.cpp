@@ -27,8 +27,7 @@ void apply_design_transposed(const RegularSparseGrid& grid,
                              CompactStorage& out) {
   CSG_EXPECTS(points.size() == residuals.size());
   CSG_EXPECTS(out.grid() == grid);
-  scatter_blocked_into(*EvaluationPlan::shared(grid), points, residuals,
-                       out.values());
+  scatter_blocked_into(grid.plan(), points, residuals, out.values());
 }
 
 CompactStorage fit(dim_t d, level_t n, std::span<const CoordVector> points,
@@ -46,7 +45,7 @@ CompactStorage fit(dim_t d, level_t n, std::span<const CoordVector> points,
   // A v = (B^T B / M + lambda I) v, matrix-free.
   auto apply_normal = [&](const CompactStorage& v) {
     const std::vector<real_t> bv = apply_design(v, points);
-    CompactStorage out(d, n);
+    CompactStorage out(grid);
     apply_design_transposed(grid, points, bv, out);
     for (std::size_t k = 0; k < num_coeffs; ++k)
       out[k] = out[k] * inv_m + options.lambda * v[static_cast<flat_index_t>(k)];
@@ -54,7 +53,7 @@ CompactStorage fit(dim_t d, level_t n, std::span<const CoordVector> points,
   };
 
   // b = B^T y / M.
-  CompactStorage b(d, n);
+  CompactStorage b(grid);
   apply_design_transposed(grid, points, values, b);
   for (std::size_t k = 0; k < num_coeffs; ++k) b[k] *= inv_m;
 
@@ -67,7 +66,7 @@ CompactStorage fit(dim_t d, level_t n, std::span<const CoordVector> points,
   if (b_norm > 0) {
     for (; iter < options.max_iterations; ++iter) {
       if (std::sqrt(rr) / b_norm < options.tolerance) break;
-      CompactStorage pvec(d, n);
+      CompactStorage pvec(grid);
       std::copy(p.begin(), p.end(), pvec.values().begin());
       const CompactStorage ap = apply_normal(pvec);
       const double p_ap = dot(p, ap.values());

@@ -1,14 +1,11 @@
 // GridRegistry: the multi-grid front of the serving layer — named
-// RegularSparseGrid coefficient sets (CompactStorage) together with their
-// pinned EvaluationPlans.
+// RegularSparseGrid coefficient sets (CompactStorage).
 //
 // A long-lived server fronts many grids at once (one per field / dataset /
-// tenant). The registry owns each grid's coefficients and *pins* the shared
-// evaluation plan for its shape: the process-wide plan cache is a bounded
-// LRU, so under a workload that touches many (d, n) shapes a served grid's
-// plan could otherwise be evicted and rebuilt on every batch. Pinning is
-// simply holding the shared_ptr — eviction only releases the cache's
-// reference, never the registry's.
+// tenant). The registry owns each grid's coefficients; the grid owns its
+// evaluation plan (RegularSparseGrid::plan()), which registration builds so
+// that no batch pays for it. A plan lives as long as its entry, however many
+// (d, n) shapes the registry holds.
 //
 // Lookups hand out shared_ptr<const GridEntry>: a grid removed (or
 // replaced) while requests are in flight stays alive until the last batch
@@ -31,18 +28,17 @@ namespace csg::serve {
 struct GridEntry {
   std::string name;
   CompactStorage storage;
-  /// The shared plan for storage.grid(), held for the entry's lifetime.
-  std::shared_ptr<const EvaluationPlan> plan;
 
+  /// Builds the grid's plan, so the first batch does not.
   GridEntry(std::string entry_name, CompactStorage entry_storage)
-      : name(std::move(entry_name)),
-        storage(std::move(entry_storage)),
-        plan(EvaluationPlan::shared(storage.grid())) {}
+      : name(std::move(entry_name)), storage(std::move(entry_storage)) {
+    (void)storage.grid().plan();
+  }
 
   /// Live bytes of this entry: coefficient payload + descriptor + the
-  /// pinned plan arrays.
+  /// plan arrays.
   std::size_t memory_bytes() const {
-    return storage.memory_bytes() + plan->memory_bytes();
+    return storage.memory_bytes() + storage.grid().plan().memory_bytes();
   }
 };
 
@@ -69,7 +65,7 @@ class GridRegistry {
   std::vector<std::string> names() const;
 
   /// Bytes held by the registered grids (coefficients + descriptors +
-  /// pinned plans). Counts live entries only: removed or replaced grids
+  /// plans). Counts live entries only: removed or replaced grids
   /// leave this figure immediately, even while in-flight batches still
   /// hold them.
   std::size_t memory_bytes() const;

@@ -6,7 +6,7 @@
 // point, in submission order; submit() is a frame of one. Workers coalesce
 // queued frames *per grid* into batches and run each batch through the
 // plan-based blocked evaluation (Sec. 4.3 blocking, evaluate_blocked_into
-// on the entry's pinned plan, 64-point blocks) on the worker's own thread.
+// on the entry's grid plan, 64-point blocks) on the worker's own thread.
 //
 // The service is sharded by grid: shard_hash(name) % shard_count picks a
 // shard, and every shard owns its own bounded queue, worker set, batch

@@ -357,8 +357,8 @@ void EvalService::run_batch(Batch& batch) {
     // does zero per-batch point-layout allocation (bench_serve pins this
     // with PointBlock::allocation_count()).
     batch.values.assign(live, 0);
-    evaluate_blocked_into(*entry.plan, coeffs, batch.points, kBlockPoints,
-                          batch.values);
+    evaluate_blocked_into(entry.storage.grid().plan(), coeffs, batch.points,
+                          kBlockPoints, batch.values);
 
     // Account the batch before fulfilling any promise: a caller that joins
     // the futures and then reads stats() must see this batch counted.

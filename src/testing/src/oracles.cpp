@@ -272,7 +272,7 @@ OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
                                    const OracleOptions& opts) {
   OracleResult r;
   const std::span<const real_t> raw(coeffs.data(), coeffs.values().size());
-  const auto plan = EvaluationPlan::shared(coeffs.grid());
+  const EvaluationPlan& plan = coeffs.grid().plan();
 
   std::vector<real_t> ref(points.size());
   for (std::size_t p = 0; p < points.size(); ++p)
@@ -313,7 +313,7 @@ OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
                    "evaluate_walk vs evaluate_many_blocked" + tag);
   }
   compare_values(
-      parallel::omp_evaluate_many_blocked(*plan, raw, points, lane + 1,
+      parallel::omp_evaluate_many_blocked(plan, raw, points, lane + 1,
                                           opts.threads),
       "evaluate_walk vs omp_evaluate_many_blocked");
 
@@ -322,7 +322,7 @@ OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
   if (!points.empty()) {
     PointBlock block;
     block.assign(coeffs.dim(), coeffs.grid().level(), points);
-    evaluate_block_soa(*plan, raw, block);
+    evaluate_block_soa(plan, raw, block);
     compare_values(std::span<const real_t>(block.accum(), points.size()),
                    "evaluate_walk vs evaluate_block_soa(direct)");
   }

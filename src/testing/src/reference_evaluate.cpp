@@ -54,11 +54,11 @@ std::vector<real_t> evaluate_blocked_scalar(
     const CompactStorage& coeffs, std::span<const CoordVector> points,
     std::size_t block_size) {
   CSG_EXPECTS(block_size >= 1);
-  const auto plan = EvaluationPlan::shared(coeffs.grid());
-  const dim_t d = plan->dim();
-  const level_t* levels = plan->packed_levels();
-  const flat_index_t* offsets = plan->offsets();
-  const std::size_t count = plan->subspace_count();
+  const EvaluationPlan& plan = coeffs.grid().plan();
+  const dim_t d = plan.dim();
+  const level_t* levels = plan.packed_levels();
+  const flat_index_t* offsets = plan.offsets();
+  const std::size_t count = plan.subspace_count();
   for (const CoordVector& x : points) CSG_EXPECTS(x.size() == d);
   std::vector<real_t> out(points.size(), 0);
   for (std::size_t b0 = 0; b0 < points.size(); b0 += block_size) {

@@ -90,7 +90,7 @@ TEST(Evaluate, SpanFormMatchesStorageForm) {
   const CompactStorage s = compressed(workloads::gaussian_bump(2), 2, 5);
   const std::span<const real_t> coeffs(s.data(), s.values().size());
   for (const CoordVector& x : workloads::uniform_points(2, 50, 3))
-    EXPECT_EQ(evaluate_span(*EvaluationPlan::shared(s.grid()), coeffs, x),
+    EXPECT_EQ(evaluate_span(s.grid().plan(), coeffs, x),
               evaluate(s, x));
 }
 
@@ -248,7 +248,7 @@ TEST(EvaluateSoa, DegenerateShapes) {
 TEST(EvaluateSoa, StatsCountBlocksLanesAndSubspaces) {
   const CompactStorage s = compressed(workloads::oscillatory(3), 3, 5);
   const auto pts = workloads::uniform_points(3, 133, 7);
-  const auto plan = EvaluationPlan::shared(s.grid());
+  const EvaluationPlan& plan = s.grid().plan();
   const std::size_t block = 17;
   reset_soa_kernel_stats();
   (void)evaluate_many_blocked(s, pts, block);
@@ -261,14 +261,14 @@ TEST(EvaluateSoa, StatsCountBlocksLanesAndSubspaces) {
   }
   EXPECT_EQ(stats.blocks, blocks);
   EXPECT_EQ(stats.lanes, lanes);
-  EXPECT_EQ(stats.subspaces_visited, blocks * plan->subspace_count());
+  EXPECT_EQ(stats.subspaces_visited, blocks * plan.subspace_count());
   // A single-point evaluate is one block of one lane over every subspace.
   reset_soa_kernel_stats();
   (void)evaluate(s, pts[0]);
   const SoaKernelStats one = soa_kernel_stats();
   EXPECT_EQ(one.blocks, 1u);
   EXPECT_EQ(one.lanes, 1u);
-  EXPECT_EQ(one.subspaces_visited, plan->subspace_count());
+  EXPECT_EQ(one.subspaces_visited, plan.subspace_count());
   // Both share this thread's PointBlock arena: warmed by the calls above,
   // it does not grow while single-point and batch calls alternate.
   const std::uint64_t arena0 = PointBlock::allocation_count();
@@ -303,24 +303,24 @@ TEST(EvaluateSoa, OracleBatteryOnRandomGrids) {
 
 TEST(EvaluateSoaDeath, BlockDimensionMismatchAborts) {
   const CompactStorage s = compressed(workloads::gaussian_bump(2), 2, 3);
-  const auto plan = EvaluationPlan::shared(s.grid());
+  const EvaluationPlan& plan = s.grid().plan();
   const std::span<const real_t> coeffs(s.data(), s.values().size());
   PointBlock block;
   const std::vector<CoordVector> pts{{0.5, 0.5, 0.5}};
   block.assign(3, 3, pts);
-  EXPECT_DEATH(evaluate_block_soa(*plan, coeffs, block), "precondition");
+  EXPECT_DEATH(evaluate_block_soa(plan, coeffs, block), "precondition");
 }
 
 TEST(EvaluateSoaDeath, BlockLevelMismatchAborts) {
   // Tables sized for fewer levels than the plan would be read past their
   // last row.
   const CompactStorage s = compressed(workloads::gaussian_bump(2), 2, 3);
-  const auto plan = EvaluationPlan::shared(s.grid());
+  const EvaluationPlan& plan = s.grid().plan();
   const std::span<const real_t> coeffs(s.data(), s.values().size());
   PointBlock block;
   const std::vector<CoordVector> pts{{0.5, 0.5}};
   block.assign(2, 2, pts);
-  EXPECT_DEATH(evaluate_block_soa(*plan, coeffs, block), "precondition");
+  EXPECT_DEATH(evaluate_block_soa(plan, coeffs, block), "precondition");
 }
 
 TEST(EvaluateDeath, DimensionMismatchAborts) {

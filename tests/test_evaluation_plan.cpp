@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 
 #include "csg/core/evaluate.hpp"
@@ -49,145 +48,20 @@ TEST(EvaluationPlan, EntriesMatchGridEnumerationAndOffsets) {
   EXPECT_EQ(s, plan.subspace_count());
 }
 
-/// Tests below mutate the process-global cache; restore its default shape
-/// on exit so suites sharing this process see a clean cache.
-struct PlanCacheGuard {
-  ~PlanCacheGuard() {
-    EvaluationPlan::shared_cache_clear();
-    EvaluationPlan::shared_cache_set_capacity(
-        EvaluationPlan::kDefaultSharedCacheCap);
-  }
-};
-
-TEST(EvaluationPlan, SharedCacheReturnsOneInstancePerShape) {
-  const RegularSparseGrid a(3, 4), b(3, 4), c(3, 5);
-  EXPECT_EQ(EvaluationPlan::shared(a).get(), EvaluationPlan::shared(b).get());
-  EXPECT_NE(EvaluationPlan::shared(a).get(), EvaluationPlan::shared(c).get());
-}
-
-TEST(EvaluationPlan, SharedCacheCountsHitsAndMisses) {
-  PlanCacheGuard guard;
-  EvaluationPlan::shared_cache_clear();
-  const RegularSparseGrid grid(4, 4);
-  (void)EvaluationPlan::shared(grid);
-  (void)EvaluationPlan::shared(grid);
-  (void)EvaluationPlan::shared(grid);
-  const auto stats = EvaluationPlan::shared_cache_stats();
-  EXPECT_EQ(stats.size, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.evictions, 0u);
-}
-
-TEST(EvaluationPlan, SharedCacheEvictsLeastRecentlyUsed) {
-  PlanCacheGuard guard;
-  EvaluationPlan::shared_cache_clear();
-  EvaluationPlan::shared_cache_set_capacity(2);
-
-  const RegularSparseGrid a(2, 2), b(2, 3), c(2, 4);
-  const auto plan_a = EvaluationPlan::shared(a);
-  (void)EvaluationPlan::shared(b);
-  // Touch a: recency order is now [a, b]. Inserting c must evict b.
-  EXPECT_EQ(EvaluationPlan::shared(a).get(), plan_a.get());
-  (void)EvaluationPlan::shared(c);
-
-  auto stats = EvaluationPlan::shared_cache_stats();
-  EXPECT_EQ(stats.size, 2u);
-  EXPECT_EQ(stats.evictions, 1u);
-
-  // a survived (hit, same instance); b was evicted (miss, fresh build).
-  EXPECT_EQ(EvaluationPlan::shared(a).get(), plan_a.get());
-  const std::uint64_t misses_before =
-      EvaluationPlan::shared_cache_stats().misses;
-  (void)EvaluationPlan::shared(b);
-  EXPECT_EQ(EvaluationPlan::shared_cache_stats().misses, misses_before + 1);
-}
-
-TEST(EvaluationPlan, SharedCacheEvictionKeepsOutstandingPlansAlive) {
-  PlanCacheGuard guard;
-  EvaluationPlan::shared_cache_clear();
-  EvaluationPlan::shared_cache_set_capacity(1);
-
-  const RegularSparseGrid a(3, 3), b(3, 4);
-  const auto pinned = EvaluationPlan::shared(a);
-  (void)EvaluationPlan::shared(b);  // evicts a from the cache
-  EXPECT_EQ(EvaluationPlan::shared_cache_stats().size, 1u);
-
-  // The evicted plan is still fully usable by its holder.
-  EXPECT_EQ(pinned->dim(), 3u);
-  EXPECT_EQ(pinned->num_points(), a.num_points());
-  const std::vector<real_t> coeffs(a.num_points(), 0.5);
-  (void)evaluate_span(*pinned, coeffs, CoordVector{0.5, 0.5, 0.5});
-}
-
-TEST(EvaluationPlan, SharedCacheMemoryBytesReflectsResidentPlansOnly) {
-  PlanCacheGuard guard;
-  EvaluationPlan::shared_cache_clear();
-  EvaluationPlan::shared_cache_set_capacity(8);
-
-  const RegularSparseGrid a(4, 5), b(5, 5), c(6, 5);
-  const auto pa = EvaluationPlan::shared(a);
-  const auto pb = EvaluationPlan::shared(b);
-  const auto pc = EvaluationPlan::shared(c);
-  const std::size_t all_bytes =
-      pa->memory_bytes() + pb->memory_bytes() + pc->memory_bytes();
-  EXPECT_EQ(EvaluationPlan::shared_cache_stats().memory_bytes, all_bytes);
-
-  // Shrinking the capacity evicts down to the most recent entry, and the
-  // reported bytes drop with it — live state, not high-water capacity.
-  EvaluationPlan::shared_cache_set_capacity(1);
-  const auto stats = EvaluationPlan::shared_cache_stats();
-  EXPECT_EQ(stats.size, 1u);
-  EXPECT_EQ(stats.memory_bytes, pc->memory_bytes());
-  EXPECT_LT(stats.memory_bytes, all_bytes);
-}
-
-TEST(EvaluationPlan, SharedCacheClearResetsStateButNotHolders) {
-  PlanCacheGuard guard;
-  const RegularSparseGrid grid(3, 5);
-  const auto held = EvaluationPlan::shared(grid);
-  EvaluationPlan::shared_cache_clear();
-  const auto stats = EvaluationPlan::shared_cache_stats();
-  EXPECT_EQ(stats.size, 0u);
-  EXPECT_EQ(stats.hits + stats.misses + stats.evictions, 0u);
-  EXPECT_EQ(stats.memory_bytes, 0u);
-  // Held plan survives; a fresh fetch builds a new instance.
-  EXPECT_EQ(held->num_points(), grid.num_points());
-  EXPECT_NE(EvaluationPlan::shared(grid).get(), held.get());
-}
-
-// Regression for the unbounded-growth bug: a long-lived process touching
-// many (d, n) shapes must hold at most `capacity` plans, with the reported
-// footprint bounded by the resident set — not by the shape history.
-TEST(EvaluationPlan, SharedCacheStaysBoundedUnderManyShapes) {
-  PlanCacheGuard guard;
-  EvaluationPlan::shared_cache_clear();
-  constexpr std::size_t kCap = 8;
-  EvaluationPlan::shared_cache_set_capacity(kCap);
-
-  std::size_t shapes = 0;
-  std::size_t max_resident_bytes = 0;
-  for (dim_t d = 1; d <= 10; ++d)
-    for (level_t n = 1; n <= 8; ++n) {
-      (void)EvaluationPlan::shared(RegularSparseGrid(d, n));
-      ++shapes;
-      const auto stats = EvaluationPlan::shared_cache_stats();
-      ASSERT_LE(stats.size, kCap) << "d=" << d << " n=" << n;
-      max_resident_bytes = std::max(max_resident_bytes, stats.memory_bytes);
-    }
-
-  const auto stats = EvaluationPlan::shared_cache_stats();
-  EXPECT_EQ(shapes, 80u);
-  EXPECT_EQ(stats.size, kCap);
-  EXPECT_EQ(stats.misses, shapes);
-  EXPECT_EQ(stats.evictions, shapes - kCap);
-  // The whole 80-shape history would dwarf the bounded resident set; with
-  // the old unbounded map this held every plan ever built.
-  EXPECT_LE(stats.memory_bytes, max_resident_bytes);
-}
-
-TEST(EvaluationPlanDeath, ZeroCapacityRejected) {
-  EXPECT_DEATH(EvaluationPlan::shared_cache_set_capacity(0), "precondition");
+TEST(EvaluationPlan, GridAndItsCopiesReturnOnePlanInstance) {
+  const RegularSparseGrid a(3, 4);
+  const RegularSparseGrid copy(a);
+  const CompactStorage storage(a);
+  EXPECT_EQ(&a.plan(), &a.plan());
+  EXPECT_EQ(&copy.plan(), &a.plan());
+  EXPECT_EQ(&storage.grid().plan(), &a.plan());
+  // A grid of the same shape built separately owns its own plan.
+  const RegularSparseGrid same_shape(3, 4);
+  EXPECT_EQ(same_shape, a);
+  EXPECT_NE(&same_shape.plan(), &a.plan());
+  EXPECT_EQ(same_shape.plan().subspace_count(), a.plan().subspace_count());
+  // The shim kept for perfbench hands out the grid's own plan.
+  EXPECT_EQ(EvaluationPlan::shared(a).get(), &a.plan());
 }
 
 TEST(EvaluationPlan, MemoryFootprintIsSmall) {
@@ -248,8 +122,7 @@ TEST_P(PlanParity, PlanPathsAreBitIdenticalToTheScalarWalk) {
   const EvaluationPlan plan(s.grid());
   for (std::size_t p = 0; p < pts.size(); ++p) {
     EXPECT_EQ(evaluate_span(plan, coeffs, pts[p]), reference[p]) << p;
-    EXPECT_EQ(evaluate_span(*EvaluationPlan::shared(s.grid()), coeffs, pts[p]),
-              reference[p])
+    EXPECT_EQ(evaluate_span(s.grid().plan(), coeffs, pts[p]), reference[p])
         << p;
     EXPECT_EQ(evaluate(s, pts[p]), reference[p]) << p;
   }

@@ -204,7 +204,9 @@ TEST_P(ThreadSweep, OmpBlockedEvaluateEdgeBlockSizes) {
   // Degenerate blockings must not change results or crash: one point per
   // block (maximal scheduling overhead), a block larger than the whole
   // point set (single block), and a size that does not divide the count
-  // (ragged final block).
+  // (ragged final block). SIZE_MAX and SIZE_MAX - 1 are single blocks too:
+  // a block count rounded up as (size + block - 1) / block wraps to zero
+  // blocks for them and leaves every output 0.
   const int threads = GetParam();
   const dim_t d = 3;
   CompactStorage s(d, 5);
@@ -213,7 +215,8 @@ TEST_P(ThreadSweep, OmpBlockedEvaluateEdgeBlockSizes) {
   const auto pts = workloads::uniform_points(d, 103, 19);  // prime count
   const auto expected = csg::testing::evaluate_blocked_scalar(s, pts, 1);
   for (const std::size_t block :
-       {std::size_t{1}, pts.size() + 17, std::size_t{16}, std::size_t{64}}) {
+       {std::size_t{1}, pts.size() + 17, std::size_t{16}, std::size_t{64},
+        SIZE_MAX, SIZE_MAX - 1}) {
     const auto got = omp_evaluate_many_blocked(s, pts, block, threads);
     ASSERT_EQ(got.size(), expected.size()) << "block=" << block;
     for (std::size_t p = 0; p < pts.size(); ++p)

@@ -1,8 +1,8 @@
 // csg::serve — multi-grid registry + asynchronous batched evaluation
 // service: correctness (results bit-identical to evaluate()), batching
 // accounting, backpressure (reject and block), deadlines, graceful
-// shutdown, counter reconciliation across every outcome, and the bounded
-// plan cache under a many-shape serving load.
+// shutdown, counter reconciliation across every outcome, and grid-owned
+// plans under a many-shape serving load.
 //
 // Registered under the `parallel` ctest label: the service is the
 // project's most concurrent component (producers, worker pool, OpenMP
@@ -37,16 +37,6 @@ CompactStorage make_grid(dim_t d, level_t n) {
   return s;
 }
 
-/// Restore the process-global plan cache to its default shape when a test
-/// that resizes or clears it exits (tests share one process).
-struct PlanCacheGuard {
-  ~PlanCacheGuard() {
-    EvaluationPlan::shared_cache_clear();
-    EvaluationPlan::shared_cache_set_capacity(
-        EvaluationPlan::kDefaultSharedCacheCap);
-  }
-};
-
 TEST(GridRegistry, AddFindRemove) {
   GridRegistry reg;
   EXPECT_EQ(reg.size(), 0u);
@@ -61,8 +51,7 @@ TEST(GridRegistry, AddFindRemove) {
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->name, "temperature");
   EXPECT_EQ(entry->storage.dim(), 3u);
-  ASSERT_NE(entry->plan, nullptr);
-  EXPECT_EQ(entry->plan->dim(), 3u);
+  EXPECT_EQ(entry->storage.grid().plan().dim(), 3u);
 
   EXPECT_TRUE(reg.remove("temperature"));
   EXPECT_FALSE(reg.remove("temperature"));
@@ -115,7 +104,8 @@ TEST(GridRegistry, MemoryBytesTracksLiveEntriesOnly) {
   EXPECT_EQ(reg.memory_bytes(), 0u);
   const auto a = reg.add("a", make_grid(2, 4));
   const auto a_bytes = a->memory_bytes();
-  EXPECT_EQ(a_bytes, a->storage.memory_bytes() + a->plan->memory_bytes());
+  EXPECT_EQ(a_bytes, a->storage.memory_bytes() +
+                         a->storage.grid().plan().memory_bytes());
   EXPECT_EQ(reg.memory_bytes(), a_bytes);
 
   const auto b = reg.add("b", make_grid(3, 3));
@@ -866,15 +856,10 @@ TEST(EvalService, BatchesTakeWholeFramesUpToTheCap) {
   check({workloads::uniform_points(3, 20, 71)}, 1, 20);
 }
 
-// The acceptance stress: many (d, n) shapes served concurrently while the
-// process-global plan cache is capped far below the number of shapes. The
-// registry pins every served plan, so evaluation never rebuilds plans per
-// batch, and the cache must hold <= its cap throughout.
-TEST(ServeStress, ManyShapesUnderLoadKeepPlanCacheBounded) {
-  PlanCacheGuard guard;
-  EvaluationPlan::shared_cache_clear();
-  EvaluationPlan::shared_cache_set_capacity(4);
-
+// The acceptance stress: many (d, n) shapes served concurrently. Each
+// entry's grid owns its plan from registration on, so serving neither
+// rebuilds nor replaces a plan, however many shapes the registry holds.
+TEST(ServeStress, ManyShapesUnderLoadKeepTheirPlans) {
   GridRegistry reg;
   struct Shape {
     std::string name;
@@ -895,7 +880,9 @@ TEST(ServeStress, ManyShapesUnderLoadKeepPlanCacheBounded) {
     }
   for (const Shape& s : shapes) reg.add(s.name, make_grid(s.d, s.n));
   ASSERT_EQ(reg.size(), shapes.size());
-  ASSERT_GT(shapes.size(), EvaluationPlan::shared_cache_stats().capacity);
+  std::vector<const EvaluationPlan*> plans_before;
+  for (const Shape& s : shapes)
+    plans_before.push_back(&reg.find(s.name)->storage.grid().plan());
 
   ServiceOptions opts;
   opts.workers = 3;
@@ -915,13 +902,8 @@ TEST(ServeStress, ManyShapesUnderLoadKeepPlanCacheBounded) {
         auto future = service.submit(s.name, pts[0]);
         const EvalResult r = future.get();
         const auto entry = reg.find(s.name);
-        // Verify against the pinned plan directly — going through
-        // evaluate() would touch the shared cache and perturb the stats
-        // this test pins below.
-        const std::span<const real_t> coeffs(entry->storage.data(),
-                                             entry->storage.values().size());
         if (r.status != Status::kOk ||
-            r.value != evaluate_span(*entry->plan, coeffs, pts[0]))
+            r.value != evaluate(entry->storage, pts[0]))
           mismatches.fetch_add(1);
       }
     });
@@ -932,37 +914,31 @@ TEST(ServeStress, ManyShapesUnderLoadKeepPlanCacheBounded) {
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_EQ(service.stats().completed, 4 * kPerProducer);
 
-  const auto cache = EvaluationPlan::shared_cache_stats();
-  EXPECT_LE(cache.size, cache.capacity);
-  EXPECT_EQ(cache.capacity, 4u);
-  // Every registered shape built its plan once; the overflow was evicted.
-  EXPECT_GE(cache.evictions, shapes.size() - cache.capacity);
-  // Pinned plans stayed alive regardless of eviction: no rebuild happened
-  // during serving, so misses stay at the registration count.
-  EXPECT_EQ(cache.misses, shapes.size());
+  for (std::size_t k = 0; k < shapes.size(); ++k)
+    EXPECT_EQ(&reg.find(shapes[k].name)->storage.grid().plan(),
+              plans_before[k])
+        << shapes[k].name;
 }
 
-// Concurrent first-touch of one fresh shape: all callers get the same
-// plan instance and the cache holds a single entry for the key (the
-// build-outside-lock race resolves to the first insert).
+// Concurrent first touch of a fresh grid's plan, half the threads through
+// the grid and half through copies of it: the lazy build runs once and
+// every caller gets that one instance. Under the TSan lane this also
+// checks that the build publishes the plan without a race.
 TEST(ServeStress, ConcurrentSharedPlanFetchYieldsOneInstance) {
-  PlanCacheGuard guard;
-  EvaluationPlan::shared_cache_clear();
-
   const RegularSparseGrid grid(6, 6);
   constexpr unsigned kThreads = 8;
-  std::vector<std::shared_ptr<const EvaluationPlan>> plans(kThreads);
+  const std::vector<RegularSparseGrid> copies(kThreads / 2, grid);
+  std::vector<const EvaluationPlan*> plans(kThreads, nullptr);
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < kThreads; ++t)
-    threads.emplace_back(
-        [&, t] { plans[t] = EvaluationPlan::shared(grid); });
+    threads.emplace_back([&, t] {
+      const RegularSparseGrid& g = t % 2 == 0 ? grid : copies[t / 2];
+      plans[t] = &g.plan();
+    });
   for (std::thread& t : threads) t.join();
 
-  for (unsigned t = 1; t < kThreads; ++t)
-    EXPECT_EQ(plans[t].get(), plans[0].get());
-  const auto stats = EvaluationPlan::shared_cache_stats();
-  EXPECT_EQ(stats.size, 1u);
-  EXPECT_EQ(stats.misses + stats.hits, kThreads);
+  for (unsigned t = 1; t < kThreads; ++t) EXPECT_EQ(plans[t], plans[0]);
+  EXPECT_EQ(plans[0]->subspace_count(), EvaluationPlan(grid).subspace_count());
 }
 
 }  // namespace

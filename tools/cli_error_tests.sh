@@ -54,7 +54,9 @@ expect 2 "must be in" eval "$WORK/g.csg" 0.5 -0.5 0.5
 
 # --- evalbatch: positive counts required ------------------------------------
 expect 2 "usage:" evalbatch "$WORK/g.csg" --points 0
+expect 2 "usage:" evalbatch "$WORK/g.csg" --points -1   # must not wrap to SIZE_MAX
 expect 2 "usage:" evalbatch "$WORK/g.csg" --block 0
+expect 2 "usage:" evalbatch "$WORK/g.csg" --block -1    # must not wrap to SIZE_MAX
 expect 2 "usage:" evalbatch "$WORK/g.csg" --threads 0
 expect 2 "usage:" evalbatch "$WORK/g.csg" --threads -3
 
@@ -71,12 +73,19 @@ expect 2 "usage:" slice "$WORK/g.csg" --dimx 0 --dimy 0
 expect 2 "usage:" slice "$WORK/g.csg" --dimx 0 --dimy 9
 expect 2 "usage:" slice "$WORK/g.csg" --dimx 9 --dimy 1
 
+# --- slice: positive raster size required -----------------------------------
+expect 2 "usage:" slice "$WORK/g.csg" --width 0
+expect 2 "usage:" slice "$WORK/g.csg" --width -1
+expect 2 "usage:" slice "$WORK/g.csg" --height 0
+expect 2 "usage:" slice "$WORK/g.csg" --height -1
+
 # --- selfcheck: bound validation --------------------------------------------
 expect 2 "usage:" selfcheck --dmax 0
 expect 2 "usage:" selfcheck --dmax 99
 expect 2 "usage:" selfcheck --nmax 0
 expect 2 "usage:" selfcheck --budget 0
 expect 2 "usage:" selfcheck --trials 0
+expect 2 "usage:" selfcheck --trials -1   # must not wrap to 2^64 - 1
 
 # --- serve-bench: option validation -----------------------------------------
 expect 2 "usage:" serve-bench --grids 0

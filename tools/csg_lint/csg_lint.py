@@ -66,6 +66,11 @@ Rules (catalog and suppression policy in docs/STATIC_ANALYSIS.md):
                          pole sweep (hierarchize.cpp), which carries a
                          pole's ancestors down its recursion instead of
                          looking parents up point by point
+  one-plan-owner         in every scanned directory, no use of
+                         EvaluationPlan::shared or shared_cache_*: a grid
+                         owns its plan (RegularSparseGrid::plan()); the two
+                         shims stay for perfbench and are used only where
+                         evaluation_plan.hpp/.cpp declare and define them
 
 Findings are suppressed per site, never blanket:
   code();  // csg-lint: allow(rule-name) -- reason
@@ -845,6 +850,31 @@ class OnePoleSweepRule(Rule):
         return findings
 
 
+class OnePlanOwnerRule(Rule):
+    name = "one-plan-owner"
+    description = (
+        "no EvaluationPlan::shared or shared_cache_* use outside "
+        "evaluation_plan.hpp/.cpp: evaluate through grid.plan()"
+    )
+
+    CALL = re.compile(r"\bEvaluationPlan\s*::\s*shared\b|\bshared_cache_\w+")
+    # Where the two shims are declared and defined.
+    HOME = ("src/core/include/csg/core/evaluation_plan.hpp",
+            "src/core/src/evaluation_plan.cpp")
+
+    def applies(self, relpath):
+        return relpath.replace(os.sep, "/") not in self.HOME
+
+    def run(self, src):
+        return [
+            Finding(self.name, src.relpath, src.line_of_offset(m.start()),
+                    f"`{m.group(0)}`: every grid owns its plan; call "
+                    "grid.plan() (RegularSparseGrid) instead of the shims "
+                    "kept for perfbench")
+            for m in self.CALL.finditer(src.masked)
+        ]
+
+
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -854,7 +884,7 @@ def text_rules(_args):
             OmpLoopCounterRule(), PragmaOnceRule(), BenchSeedRule(),
             MutexGuardAnnotationsRule(), SimdScalarParityRule(),
             ExactPow2Rule(), OneCounterListRule(), OneIoCodecRule(),
-            OneEvalWalkRule(), OnePoleSweepRule()]
+            OneEvalWalkRule(), OnePoleSweepRule(), OnePlanOwnerRule()]
 
 
 def collect_sources(root):
@@ -944,6 +974,7 @@ FIXTURES = {
     "one-io-codec": "bad_io_loader.cpp",
     "one-eval-walk": "bad_eval_walk.cpp",
     "one-pole-sweep": "bad_parent_lookup.cpp",
+    "one-plan-owner": "bad_plan_cache.cpp",
 }
 
 

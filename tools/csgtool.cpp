@@ -175,10 +175,11 @@ int cmd_eval(const char* path, int coords_argc, char** coords_argv) {
 
 int cmd_evalbatch(const char* path, int argc, char** argv) {
   const CompactStorage s = io::load_file(path);
-  const auto count = static_cast<std::size_t>(
-      std::atoi(flag_value(argc, argv, "--points", "10000")));
-  const auto block = static_cast<std::size_t>(
-      std::atoi(flag_value(argc, argv, "--block", "64")));
+  // Counts are parsed signed so that a negative one is rejected below
+  // instead of wrapping to a huge size_t.
+  const long long count =
+      std::atoll(flag_value(argc, argv, "--points", "10000"));
+  const long long block = std::atoll(flag_value(argc, argv, "--block", "64"));
   const auto seed = static_cast<std::uint32_t>(
       std::atoi(flag_value(argc, argv, "--seed", "17")));
   const int hw = std::max(1u, std::thread::hardware_concurrency());
@@ -187,13 +188,15 @@ int cmd_evalbatch(const char* path, int argc, char** argv) {
                            std::to_string(hw).c_str()));
   if (count < 1 || block < 1 || threads < 1) return usage();
 
-  const auto pts = workloads::uniform_points(s.grid().dim(), count, seed);
-  // The batched query path of the Fig. 1 pipeline: one shared
-  // EvaluationPlan, threads over point blocks, disjoint output ranges.
-  const auto plan = EvaluationPlan::shared(s.grid());
+  const auto pts = workloads::uniform_points(
+      s.grid().dim(), static_cast<std::size_t>(count), seed);
+  // The batched query path of the Fig. 1 pipeline: the grid's plan, threads
+  // over point blocks, disjoint output ranges. The plan is built before the
+  // clock starts.
+  const EvaluationPlan& plan = s.grid().plan();
   const auto start = std::chrono::steady_clock::now();
-  const auto values =
-      parallel::omp_evaluate_many_blocked(s, pts, block, threads);
+  const auto values = parallel::omp_evaluate_many_blocked(
+      s, pts, static_cast<std::size_t>(block), threads);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -204,9 +207,9 @@ int cmd_evalbatch(const char* path, int argc, char** argv) {
     hi = std::max(hi, v);
   }
   std::printf("evaluated %zu points (plan: %zu subspaces, %.1f KB; "
-              "block %zu, %d thread(s))\n",
-              values.size(), plan->subspace_count(),
-              static_cast<double>(plan->memory_bytes()) / 1e3, block,
+              "block %lld, %d thread(s))\n",
+              values.size(), plan.subspace_count(),
+              static_cast<double>(plan.memory_bytes()) / 1e3, block,
               threads);
   std::printf("  time       %.4f s  (%.0f evals/s)\n", secs,
               static_cast<double>(values.size()) / secs);
@@ -275,21 +278,23 @@ int cmd_slice(const char* path, int argc, char** argv) {
   const auto dim_x = static_cast<dim_t>(std::atoi(flag_value(argc, argv, "--dimx", "0")));
   const auto dim_y = static_cast<dim_t>(std::atoi(flag_value(argc, argv, "--dimy", "1")));
   const real_t anchor = std::atof(flag_value(argc, argv, "--anchor", "0.5"));
-  const auto width = static_cast<std::size_t>(
-      std::atoi(flag_value(argc, argv, "--width", "64")));
-  const auto height = static_cast<std::size_t>(
-      std::atoi(flag_value(argc, argv, "--height", "32")));
+  // Signed, like evalbatch's counts: a negative size must not wrap.
+  const long long width_arg =
+      std::atoll(flag_value(argc, argv, "--width", "64"));
+  const long long height_arg =
+      std::atoll(flag_value(argc, argv, "--height", "32"));
   const char* pgm = flag_value(argc, argv, "--pgm", nullptr);
-  if (d < 2 || dim_x >= d || dim_y >= d || dim_x == dim_y) return usage();
+  if (d < 2 || dim_x >= d || dim_y >= d || dim_x == dim_y || width_arg < 1 ||
+      height_arg < 1)
+    return usage();
+  const auto width = static_cast<std::size_t>(width_arg);
+  const auto height = static_cast<std::size_t>(height_arg);
 
   const auto pts = workloads::slice_points(CoordVector(d, anchor), dim_x,
                                            dim_y, width, height);
-  // Per-frame slice decompression is a batched query: reuse the shared
-  // plan for this grid shape across repeated invocations of the process's
-  // lifetime and walk it blocked.
-  const auto values = evaluate_many_blocked(
-      *EvaluationPlan::shared(s.grid()),
-      std::span<const real_t>(s.data(), s.values().size()), pts, 64);
+  // Per-frame slice decompression is a batched query: the grid's plan,
+  // walked blocked.
+  const auto values = evaluate_many_blocked(s, pts, 64);
   const auto [lo_it, hi_it] = std::minmax_element(values.begin(), values.end());
   const real_t lo = *lo_it, hi = *hi_it;
   const real_t span = hi > lo ? hi - lo : real_t{1};
@@ -349,13 +354,15 @@ int cmd_selfcheck(int argc, char** argv) {
   const auto nmax =
       static_cast<level_t>(std::atoi(flag_value(argc, argv, "--nmax", "8")));
   const double budget = std::atof(flag_value(argc, argv, "--budget", "60"));
-  const auto trials = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--trials", "20000")));
+  // Signed, so that a negative count is rejected instead of wrapping.
+  const long long trials_arg =
+      std::atoll(flag_value(argc, argv, "--trials", "20000"));
   const auto seed = static_cast<std::uint64_t>(
       std::atoll(flag_value(argc, argv, "--seed", "1")));
   if (dmax < 1 || dmax > kMaxDim || nmax < 1 || nmax > kMaxLevel ||
-      budget <= 0 || trials < 1)
+      budget <= 0 || trials_arg < 1)
     return usage();
+  const auto trials = static_cast<std::uint64_t>(trials_arg);
 
   const auto start = std::chrono::steady_clock::now();
   auto elapsed = [&] {
