@@ -4,9 +4,9 @@
 // field to the slice plane once (restriction.hpp) and evaluating the
 // resulting 2d sparse grid per pixel.
 //
-// The restriction costs one O(N d) pass per frame ANCHOR (not per pixel),
-// after which each pixel costs a 2d evaluation — orders of magnitude
-// cheaper at d >= 4. This is the library-level answer to the paper's
+// The restriction costs one pass over the anchor's supported slab per frame
+// ANCHOR (not per pixel), after which each pixel costs a 2d evaluation —
+// orders of magnitude cheaper at d >= 4. This is the library-level answer to the paper's
 // "high resolution demands of a smoothly-running visual data exploration
 // application".
 #include "bench_common.hpp"

@@ -13,9 +13,11 @@
 // The d-linear algorithms run every face (sub-grid) on the interior grid's
 // kernels. Per dimension the level-0 boundary hats are 1 - x and x, so
 // evaluation sums over all faces the boundary weights times the face's
-// interpolant, one SoA block-kernel call per face for all points; the
-// interior pole sweep hierarchizes every face, with the (never-updated)
-// adjacent faces as pole ends instead of zeros (DESIGN.md §15).
+// interpolant: per block of points one table pass of the SoA kernel over
+// all d dimensions, then per face a walk of the face grid's plan over the
+// face's free dimensions of those tables. The interior pole sweep
+// hierarchizes every face, with the (never-updated) adjacent faces as pole
+// ends instead of zeros (DESIGN.md §15).
 #pragma once
 
 #include <functional>
@@ -153,8 +155,9 @@ void hierarchize(BoundaryStorage& storage);
 void dehierarchize(BoundaryStorage& storage);
 
 /// Evaluate the boundary sparse grid function at every point in [0,1]^d:
-/// per face one blocked kernel call over the points with a non-zero
-/// boundary weight there; each point sums its faces in storage order.
+/// per block of 64 points one table pass, then per face one walk over its
+/// free dimensions; each point sums weight times face value over the faces
+/// of non-zero weight, in storage order.
 std::vector<real_t> evaluate(const BoundaryStorage& storage,
                              std::span<const CoordVector> points);
 

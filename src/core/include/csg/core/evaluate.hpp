@@ -7,12 +7,15 @@
 // the coefficient offset advances by 2^j per subspace. The subspaces are
 // visited through an EvaluationPlan — a one-time flattening of the level
 // enumeration into contiguous arrays. One SoA block kernel finds that hat
-// per point and subspace; B * alpha gathers with it (every evaluation entry
-// point: one point, a sequential batch, the OpenMP batch, the serving
-// workers, the faces of a boundary grid — all through
-// evaluate_blocked_into) and B^T r scatters with it
-// (scatter_blocked_into). The scalar walk and blocked loop the kernel is
-// pinned against are oracles in csg::testing (reference_evaluate.hpp).
+// per point and subspace in two parts: a table pass per block of points
+// (fill_basis_tables) and a subspace walk that reads the tables. B * alpha
+// gathers with it (every evaluation entry point: one point, a sequential
+// batch, the OpenMP batch, the serving workers — all through
+// evaluate_blocked_into — and every face of a boundary grid, which walks
+// its own plan over one shared table pass) and B^T r scatters with it
+// (scatter_blocked_into). Plane restriction reads the tables of its anchor
+// alone. The scalar walk and blocked loop the kernel is pinned against are
+// oracles in csg::testing (reference_evaluate.hpp).
 //
 // Coordinates must lie in [0,1] (PointBlock::assign rejects the rest). The
 // bit-identity guarantee covers finite values only: where a point lies on a
@@ -34,8 +37,7 @@ namespace csg {
 
 /// Evaluate a coefficient array laid out by `plan`'s grid at one point x in
 /// [0,1]^d: a one-lane block of the SoA kernel, in the calling thread's
-/// PointBlock arena. Sub-grid views (the faces of the boundary grid,
-/// boundary_grid.hpp) go through evaluate_blocked_into below in batches.
+/// PointBlock arena.
 real_t evaluate_span(const EvaluationPlan& plan,
                      std::span<const real_t> coeffs, const CoordVector& x);
 
@@ -61,8 +63,8 @@ std::vector<real_t> evaluate_many_blocked(const EvaluationPlan& plan,
 /// sequential and the OpenMP blocked paths: a parallel caller hands each
 /// thread a disjoint (points, out) slice and needs no reduction or barrier.
 /// Each block runs through the SoA kernel below: the calling thread's
-/// thread-local PointBlock arena is transposed once per block and reused
-/// across calls, single-point ones included.
+/// thread-local PointBlock arena (fill_basis_tables) is transposed once per
+/// block and reused across calls, single-point ones included.
 void evaluate_blocked_into(const EvaluationPlan& plan,
                            std::span<const real_t> coeffs,
                            std::span<const CoordVector> points,
@@ -76,8 +78,27 @@ void scatter_blocked_into(const EvaluationPlan& plan,
                           std::span<const real_t> weights,
                           std::span<real_t> out);
 
+/// The kernel's table pass in the calling thread's PointBlock arena:
+/// transpose `points` (dimension d, coordinates in [0,1]) and fill the
+/// block's basis tables for `levels` levels. The returned block, and every
+/// walk over its tables, stays valid until this thread's next call into
+/// the kernel.
+PointBlock& fill_basis_tables(dim_t d, level_t levels,
+                              std::span<const CoordVector> points);
+
+/// The kernel's subspace walk and gather over a block whose tables are
+/// filled, into block.accum(): plan dimension s reads block dimension
+/// dims[s]. Per point the sum equals evaluate_block_soa at the point's
+/// dims-projection bit for bit, so a boundary face walks its interior
+/// grid's plan over its free dimensions on the full points' tables.
+void evaluate_block_tables(const EvaluationPlan& plan,
+                           std::span<const real_t> coeffs, PointBlock& block,
+                           std::span<const dim_t> dims);
+
 /// SoA batch kernel (DESIGN.md §14): accumulate the interpolant for every
-/// point of `block` into block.accum(). The inner loops run one subspace
+/// point of `block` into block.accum() — the table pass over `block`, then
+/// evaluate_block_tables with plan dimension s on block dimension s. The
+/// inner loops run one subspace
 /// against a full lane of points with `#pragma omp simd`; the boundary and
 /// support tests of Alg. 7 are arithmetic selects, so the loop body is
 /// branch-free and vectorizes. For finite coefficients the result is

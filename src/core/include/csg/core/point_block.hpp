@@ -23,8 +23,11 @@
 // arena: assign() only touches the heap when capacity grows, and a
 // process-wide allocation counter makes "steady state performs zero
 // point-layout allocations" a testable claim (bench_serve gates on it).
-// evaluate_blocked_into keeps one arena per thread and every evaluation
-// entry point goes through it, single points included (one padded lane).
+// fill_basis_tables (evaluate.hpp) keeps one arena per thread. Every
+// evaluation entry point goes through it, single points included (one
+// padded lane), and so do the boundary grid's faces, which share one
+// table pass per block, and plane restriction, which reads the tables of
+// its one-point anchor block.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +67,9 @@ class PointBlock {
   }
 
   // Kernel scratch, owned here so the whole arena is reused together.
-  // Contents are only meaningful during/after an evaluate_block_soa call:
-  // accum()[p] is the interpolant at point p for p < size().
+  // Contents are only meaningful during/after an evaluate_block_soa or
+  // evaluate_block_tables call: accum()[p] is the interpolant at point p
+  // for p < size().
   real_t* accum() { return scratch(0); }
   const real_t* accum() const {
     return storage_.data() + (static_cast<std::size_t>(cap_dims_) + 0) * stride_;

@@ -11,10 +11,14 @@
 //                   prod_{t dropped} phi_{l_t,i_t}(a_t)
 //
 // Grouping by the kept components gives 2d (say) hierarchical coefficients
-// beta = sum over dropped components of alpha * (anchor weights) — one
-// O(N d) pass. After that every frame sample costs only the 2d
-// evaluation. This turns "decompress a 64x64 slice" from 4096 full
-// evaluations into one restriction plus 4096 cheap 2d evaluations.
+// beta = sum over dropped components of alpha * (anchor weights). Per
+// source subspace exactly one hat per dropped dimension holds the anchor,
+// so the restriction reads the anchor's 1-D basis from one table pass of
+// the SoA kernel (evaluate.hpp) and adds only that supported slab: one
+// source point per kept index, never the whole grid. After that every
+// frame sample costs only the 2d evaluation. This turns "decompress a
+// 64x64 slice" from 4096 full evaluations into one restriction plus 4096
+// cheap 2d evaluations.
 #pragma once
 
 #include "csg/core/compact_storage.hpp"
@@ -31,6 +35,8 @@ namespace csg {
 ///
 /// The result is a CompactStorage over (kept_dims.size(), same level)
 /// whose interpolant equals fs on the plane exactly (up to round-off).
+/// Each output coefficient sums its terms in source subspace order, bit
+/// for bit like the point-by-point walk testing::restrict_to_plane_walk.
 CompactStorage restrict_to_plane(const CompactStorage& storage,
                                  const DimVector<dim_t>& kept_dims,
                                  const CoordVector& anchor);

@@ -1,5 +1,6 @@
 #include "csg/core/boundary_grid.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <span>
 
@@ -210,40 +211,33 @@ std::vector<real_t> evaluate(const BoundaryStorage& storage,
   const BoundarySparseGrid& grid = storage.grid();
   const dim_t d = grid.dim();
   std::vector<real_t> res(points.size(), 0);
-  // Per face: the points of non-zero weight, their weights and projections.
-  std::vector<std::size_t> ids;
-  std::vector<real_t> weights, values;
-  std::vector<CoordVector> proj;
-  for_each_face(grid, [&](std::uint32_t mask, std::uint64_t sign,
-                          flat_index_t base) {
-    const auto free = static_cast<dim_t>(d - std::popcount(mask));
-    ids.clear();
-    weights.clear();
-    proj.clear();
-    for (std::size_t q = 0; q < points.size(); ++q) {
-      CSG_EXPECTS(points[q].size() == d);
-      // Weight: product of the level-0 boundary hats over fixed dims.
-      real_t w = 1;
-      for (dim_t t = 0, k = 0; t < d; ++t)
-        if ((mask >> t) & 1)
-          w *= ((sign >> k++) & 1) ? points[q][t] : (1 - points[q][t]);
-      if (w == 0) continue;
-      ids.push_back(q);
-      weights.push_back(w);
-      CoordVector& y = proj.emplace_back();
+  constexpr std::size_t kBlock = 64;  // evaluate_many_blocked's default
+  for (std::size_t b0 = 0; b0 < points.size(); b0 += kBlock) {
+    const auto pts = points.subspan(b0, std::min(kBlock, points.size() - b0));
+    // One table pass over all d dimensions serves every face.
+    PointBlock& block = fill_basis_tables(d, grid.level(), pts);
+    for_each_face(grid, [&](std::uint32_t mask, std::uint64_t sign,
+                            flat_index_t base) {
+      DimVector<dim_t> free;
       for (dim_t t = 0; t < d; ++t)
-        if (!((mask >> t) & 1)) y.push_back(points[q][t]);
-    }
-    values.assign(ids.size(), free == 0 ? storage[base] : real_t{0});
-    if (free > 0 && !ids.empty())
-      evaluate_blocked_into(
-          grid.interior_grid(free).plan(),
-          {storage.values().data() + base,
-           static_cast<std::size_t>(grid.subgrid_points(d - free))},
-          proj, 64, values);
-    for (std::size_t q = 0; q < ids.size(); ++q)
-      res[ids[q]] += weights[q] * values[q];
-  });
+        if (!((mask >> t) & 1)) free.push_back(t);
+      if (!free.empty())
+        evaluate_block_tables(
+            grid.interior_grid(free.size()).plan(),
+            {storage.values().data() + base,
+             static_cast<std::size_t>(grid.subgrid_points(d - free.size()))},
+            block, free);
+      for (std::size_t q = 0; q < pts.size(); ++q) {
+        // Weight: product of the level-0 boundary hats over fixed dims.
+        real_t w = 1;
+        for (dim_t t = 0, k = 0; t < d; ++t)
+          if ((mask >> t) & 1)
+            w *= ((sign >> k++) & 1) ? pts[q][t] : (1 - pts[q][t]);
+        if (w != 0)
+          res[b0 + q] += w * (free.empty() ? storage[base] : block.accum()[q]);
+      }
+    });
+  }
   return res;
 }
 

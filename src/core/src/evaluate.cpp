@@ -1,6 +1,7 @@
 #include "csg/core/evaluate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 
@@ -39,39 +40,29 @@ void reset_soa_kernel_stats() {
 
 namespace {
 
-/// Alg. 7 over one block: the table pass, then per subspace the fold pass
-/// and step(offset, idx, prod) — the subspace's first flat position and, per
-/// point, its supporting hat's index in the subspace and value.
-template <typename Step>
-void walk_block(const EvaluationPlan& plan, PointBlock& block, Step&& step) {
-  CSG_EXPECTS(block.dim() == plan.dim());
-  CSG_EXPECTS(block.levels() == plan.level());
-  const dim_t d = plan.dim();
-  const level_t n = plan.level();
-  const level_t* levels = plan.packed_levels();
-  const flat_index_t* offsets = plan.offsets();
-  const std::size_t count = plan.subspace_count();
+/// Plan dimension s reads block dimension s: the interior grids' mapping.
+constexpr auto kIdentityDims = [] {
+  std::array<dim_t, kMaxDim> dims{};
+  for (dim_t t = 0; t < kMaxDim; ++t) dims[t] = t;
+  return dims;
+}();
+
+/// Table pass, once per block: every point's cell index and hat value in
+/// each dimension at each level — the only d * n distinct 1-D factors of
+/// Alg. 7's tensor-product basis. All values are exact small integers or
+/// power-of-two-scaled coordinates, so the arithmetic rounds identically
+/// to the scalar path.
+void fill_tables(PointBlock& block) {
   const std::size_t padded = block.padded_size();
-  real_t* prod = block.scratch_products();
-  real_t* idx = block.scratch_indices();
-  // Row 0 of each dimension's tables; its level-l row sits l * padded later.
-  real_t* cell_rows[kMaxDim];
-  real_t* hat_rows[kMaxDim];
-  // Table pass, once per block: every point's cell index and hat value in
-  // each dimension at each level — the only d * n distinct 1-D factors of
-  // Alg. 7's tensor-product basis. All values are exact small integers or
-  // power-of-two-scaled coordinates, so the arithmetic rounds identically
-  // to the scalar path.
-  for (dim_t t = 0; t < d; ++t) {
-    cell_rows[t] = block.cell_row(t, 0);
-    hat_rows[t] = block.hat_row(t, 0);
+  for (dim_t t = 0; t < block.dim(); ++t) {
     const real_t* x = block.coords(t);
-    for (level_t lv = 0; lv < n; ++lv) {
+    for (level_t lv = 0; lv < block.levels(); ++lv) {
       const real_t cells = pow2_real(lv);  // 2^l: cells of this level
       const real_t h_inv = cells * 2;      // 1/h = 2^(l+1), exact
       const real_t max_cell = cells - 1;
-      real_t* cell_out = cell_rows[t] + lv * padded;
-      real_t* hat_out = hat_rows[t] + lv * padded;
+      real_t* cell_out = block.cell_row(t, lv);
+      real_t* hat_out = block.hat_row(t, lv);
+      // simd-check: table pass
       // scalar fallback: subspace_contribution
 #pragma omp simd
       for (std::size_t p = 0; p < padded; ++p) {
@@ -88,6 +79,33 @@ void walk_block(const EvaluationPlan& plan, PointBlock& block, Step&& step) {
       }
     }
   }
+  g_soa_blocks.fetch_add(1, std::memory_order_relaxed);
+  g_soa_lanes.fetch_add(block.lanes(), std::memory_order_relaxed);
+}
+
+/// Alg. 7's subspace walk over a block whose tables are filled: plan
+/// dimension s reads block dimension dims[s]. Per subspace the fold pass,
+/// then step(offset, idx, prod) — the subspace's first flat position and,
+/// per point, its supporting hat's index in the subspace and value.
+template <typename Step>
+void walk_block(const EvaluationPlan& plan, PointBlock& block,
+                std::span<const dim_t> dims, Step&& step) {
+  CSG_EXPECTS(dims.size() >= plan.dim());
+  CSG_EXPECTS(block.levels() == plan.level());
+  const dim_t d = plan.dim();
+  const level_t* levels = plan.packed_levels();
+  const flat_index_t* offsets = plan.offsets();
+  const std::size_t count = plan.subspace_count();
+  const std::size_t padded = block.padded_size();
+  real_t* prod = block.scratch_products();
+  real_t* idx = block.scratch_indices();
+  // Row 0 of each dimension's tables; its level-l row sits l * padded later.
+  real_t* cell_rows[kMaxDim];
+  real_t* hat_rows[kMaxDim];
+  for (dim_t s = 0; s < d; ++s) {
+    cell_rows[s] = block.cell_row(dims[s], 0);
+    hat_rows[s] = block.hat_row(dims[s], 0);
+  }
   for (std::size_t s = 0; s < count; ++s) {
     const level_t* l = levels + s * d;
     // Fold pass: dimension 0's table rows seed the running flat index and
@@ -100,6 +118,7 @@ void walk_block(const EvaluationPlan& plan, PointBlock& block, Step&& step) {
       const real_t cells = pow2_real(l[t]);
       const real_t* cell = cell_rows[t] + l[t] * padded;
       const real_t* hat = hat_rows[t] + l[t] * padded;
+      // simd-check: fold pass
       // scalar fallback: subspace_contribution
 #pragma omp simd
       for (std::size_t p = 0; p < padded; ++p) {
@@ -111,28 +130,35 @@ void walk_block(const EvaluationPlan& plan, PointBlock& block, Step&& step) {
     }
     step(offsets[s], in_idx, in_prod);
   }
-  g_soa_blocks.fetch_add(1, std::memory_order_relaxed);
-  g_soa_lanes.fetch_add(block.lanes(), std::memory_order_relaxed);
   g_soa_subspaces.fetch_add(count, std::memory_order_relaxed);
 }
 
 /// The calling thread's evaluation arena: every thread (OpenMP pool
 /// threads, serve workers) keeps one PointBlock alive across its
-/// single-point, batch and scatter calls, so a steady-state stream
-/// transposes in place and performs zero point-layout allocations
-/// (PointBlock::allocation_count() stays flat — bench_serve gates this).
+/// single-point, batch, scatter, boundary and restriction calls, so a
+/// steady-state stream transposes in place and performs zero point-layout
+/// allocations (PointBlock::allocation_count() stays flat — bench_serve
+/// gates this).
 thread_local PointBlock t_arena;
 
 }  // namespace
 
-void evaluate_block_soa(const EvaluationPlan& plan,
-                        std::span<const real_t> coeffs, PointBlock& block) {
+PointBlock& fill_basis_tables(dim_t d, level_t levels,
+                              std::span<const CoordVector> points) {
+  t_arena.assign(d, levels, points);
+  fill_tables(t_arena);
+  return t_arena;
+}
+
+void evaluate_block_tables(const EvaluationPlan& plan,
+                           std::span<const real_t> coeffs, PointBlock& block,
+                           std::span<const dim_t> dims) {
   CSG_EXPECTS(coeffs.size() >= plan.num_points());
   real_t* acc = block.accum();
   const std::size_t padded = block.padded_size();
   std::fill_n(acc, padded, real_t{0});
-  walk_block(plan, block, [&](flat_index_t offset, const real_t* idx,
-                              const real_t* prod) {
+  walk_block(plan, block, dims, [&](flat_index_t offset, const real_t* idx,
+                                    const real_t* prod) {
     // Gather the selected coefficient per point and accumulate. Points on a
     // grid line of this subspace carry prod == 0 and contribute exactly +-0.
     const real_t* cbase = coeffs.data() + offset;
@@ -141,6 +167,13 @@ void evaluate_block_soa(const EvaluationPlan& plan,
     for (std::size_t p = 0; p < padded; ++p)
       acc[p] += prod[p] * cbase[static_cast<flat_index_t>(idx[p])];
   });
+}
+
+void evaluate_block_soa(const EvaluationPlan& plan,
+                        std::span<const real_t> coeffs, PointBlock& block) {
+  CSG_EXPECTS(block.dim() == plan.dim());
+  fill_tables(block);
+  evaluate_block_tables(plan, coeffs, block, kIdentityDims);
 }
 
 real_t evaluate_span(const EvaluationPlan& plan,
@@ -165,11 +198,11 @@ void evaluate_blocked_into(const EvaluationPlan& plan,
   CSG_EXPECTS(block_size >= 1);
   CSG_EXPECTS(out.size() == points.size());
   CSG_EXPECTS(coeffs.size() >= plan.num_points());
-  PointBlock& block = t_arena;
   for (std::size_t b0 = 0; b0 < points.size(); b0 += block_size) {
     const std::size_t b1 = std::min(b0 + block_size, points.size());
-    block.assign(plan.dim(), plan.level(), points.subspan(b0, b1 - b0));
-    evaluate_block_soa(plan, coeffs, block);
+    PointBlock& block = fill_basis_tables(plan.dim(), plan.level(),
+                                          points.subspan(b0, b1 - b0));
+    evaluate_block_tables(plan, coeffs, block, kIdentityDims);
     const real_t* acc = block.accum();
     for (std::size_t p = b0; p < b1; ++p) out[p] += acc[p - b0];
   }
@@ -182,13 +215,14 @@ void scatter_blocked_into(const EvaluationPlan& plan,
   CSG_EXPECTS(weights.size() == points.size());
   CSG_EXPECTS(out.size() >= plan.num_points());
   constexpr std::size_t kBlock = 64;  // evaluate_many_blocked's default
-  PointBlock& block = t_arena;
   for (std::size_t b0 = 0; b0 < points.size(); b0 += kBlock) {
     const std::size_t b1 = std::min(b0 + kBlock, points.size());
-    block.assign(plan.dim(), plan.level(), points.subspan(b0, b1 - b0));
+    PointBlock& block = fill_basis_tables(plan.dim(), plan.level(),
+                                          points.subspan(b0, b1 - b0));
     const real_t* w = weights.data() + b0;
-    walk_block(plan, block, [&](flat_index_t offset, const real_t* idx,
-                                const real_t* prod) {
+    walk_block(plan, block, kIdentityDims, [&](flat_index_t offset,
+                                               const real_t* idx,
+                                               const real_t* prod) {
       // Scalar and in point order: two points may select the same hat.
       real_t* obase = out.data() + offset;
       for (std::size_t p = 0; p < b1 - b0; ++p)

@@ -1,7 +1,6 @@
 #include "csg/core/restriction.hpp"
 
-#include "csg/core/grid_point.hpp"
-#include "csg/core/level_enumeration.hpp"
+#include "csg/core/evaluate.hpp"
 
 namespace csg {
 
@@ -19,63 +18,40 @@ CompactStorage restrict_to_plane(const CompactStorage& storage,
   for (const real_t a : anchor) CSG_EXPECTS(a >= 0 && a <= 1);
 
   CompactStorage out(k, grid.level());
-  const RegularSparseGrid& out_grid = out.grid();
-
-  // Membership mask for O(1) kept/dropped classification.
-  DimVector<dim_t> kept_slot(d, static_cast<dim_t>(~0u));
-  DimVector<dim_t> dropped_slot(d, static_cast<dim_t>(~0u));
-  {
-    dim_t ks = 0, ds = 0;
-    for (dim_t t = 0; t < d; ++t) {
-      if (ks < k && kept_dims[ks] == t)
-        kept_slot[t] = ks++;
-      else
-        dropped_slot[t] = ds++;
-    }
-  }
-
-  // One pass over the source subspaces: within a subspace the dropped-dim
-  // weight only depends on the dropped components of i, and the kept
-  // destination subspace is fixed, so the inner loop accumulates rows.
+  // The dropped dimensions' 1-D basis at the anchor: a one-point block.
+  PointBlock& block = fill_basis_tables(
+      d - k, grid.level(), std::span<const CoordVector>(&anchor, 1));
+  const EvaluationPlan& plan = grid.plan();
   LevelVector lk(k);
-  IndexVector ik(k);
-  for (level_t j = 0; j < grid.level(); ++j) {
-    flat_index_t pos = grid.group_offset(j);
-    for (const LevelVector& l : LevelRange(d, j)) {
-      for (dim_t t = 0; t < d; ++t)
-        if (kept_slot[t] != static_cast<dim_t>(~0u))
-          lk[kept_slot[t]] = l[t];
-      const flat_index_t out_base = out_grid.subspace_offset(lk);
-      IndexVector i(d, 1);
-      for (;;) {
-        // Dropped-dimension weight at the anchor.
-        real_t w = 1;
-        for (dim_t t = 0; t < d && w != 0; ++t) {
-          if (dropped_slot[t] != static_cast<dim_t>(~0u))
-            w *= hat_basis_1d(l[t], i[t], anchor[dropped_slot[t]]);
-        }
-        if (w != 0) {
-          for (dim_t t = 0; t < d; ++t)
-            if (kept_slot[t] != static_cast<dim_t>(~0u))
-              ik[kept_slot[t]] = i[t];
-          out[out_base + out_grid.point_index_in_subspace(lk, ik)] +=
-              w * storage[pos];
-        }
-        ++pos;
-        dim_t t = d;
-        bool carry = true;
-        while (t-- > 0) {
-          i[t] += 2;
-          if (i[t] < (index1d_t{1} << (l[t] + 1))) {
-            carry = false;
-            break;
-          }
-          i[t] = 1;
-        }
-        if (carry) break;
+  for (std::size_t s = 0; s < plan.subspace_count(); ++s) {
+    const level_t* l = plan.packed_levels() + s * d;
+    // Per subspace one hat per dropped dimension holds the anchor: its
+    // weight, and its cell as a fixed bit field of the Horner flat index.
+    // The kept dimensions' bit fields form kept_bits.
+    real_t w = 1;
+    flat_index_t fixed = 0, kept_bits = 0;
+    for (dim_t t = 0, ks = 0; t < d; ++t) {
+      fixed <<= l[t];
+      kept_bits <<= l[t];
+      if (ks < k && kept_dims[ks] == t) {
+        lk[ks++] = l[t];
+        kept_bits |= (flat_index_t{1} << l[t]) - 1;
+      } else {
+        w *= block.hat_row(t - ks, l[t])[0];
+        fixed |= static_cast<flat_index_t>(block.cell_row(t - ks, l[t])[0]);
       }
     }
-    CSG_ASSERT(pos == grid.group_offset(j + 1));
+    if (w == 0) continue;  // the anchor is on a grid line of this subspace
+    // The supported slab, one point per kept index: both flat orders are
+    // Horner with the dimensions ascending, so enumerating the subsets of
+    // kept_bits ascending visits the kept subspace's points in its order.
+    const real_t* src = storage.data() + plan.offsets()[s] + fixed;
+    real_t* dst = out.data() + out.grid().subspace_offset(lk);
+    flat_index_t sub = 0;
+    do {
+      *dst++ += w * src[sub];
+      sub = (sub - kept_bits) & kept_bits;
+    } while (sub != 0);
   }
   return out;
 }

@@ -93,6 +93,15 @@ OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
                                    std::span<const CoordVector> points,
                                    const OracleOptions& opts = {});
 
+/// restrict_to_plane agrees with the point-by-point walk
+/// (restrict_to_plane_walk, reference_evaluate.hpp) on every output
+/// coefficient within exact_ulps (values are interpreted as hierarchical
+/// coefficients; `kept` and `anchor` as restrict_to_plane takes them).
+OracleResult check_restriction_parity(const CompactStorage& coeffs,
+                                      const DimVector<dim_t>& kept,
+                                      const CoordVector& anchor,
+                                      const OracleOptions& opts = {});
+
 /// save/load round trip is bit-exact and shape-preserving.
 OracleResult check_serialize_round_trip(const CompactStorage& values);
 
@@ -116,7 +125,8 @@ OracleResult check_adaptive_parity(const CompactStorage& nodal,
 
 /// The full battery on one grid function: forward and inverse parity,
 /// round trip, evaluation differentials at a random point cloud,
-/// serialization. `nodal` is interpreted as nodal samples. This is the
+/// serialization and, for d >= 2, a plane restriction at a random kept set
+/// and an anchor partly on grid lines. `nodal` is interpreted as nodal samples. This is the
 /// one-call oracle property tests use.
 OracleResult check_all(const CompactStorage& nodal, std::mt19937_64& rng,
                        const OracleOptions& opts = {});

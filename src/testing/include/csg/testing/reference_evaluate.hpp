@@ -1,6 +1,7 @@
 // Reference evaluations on CompactStorage: the paper's Alg. 7 in scalar
 // form, kept as oracles for the production SoA block kernel
-// (csg/core/evaluate.hpp).
+// (csg/core/evaluate.hpp), and the point-by-point plane restriction kept
+// as the oracle of restrict_to_plane (csg/core/restriction.hpp).
 //
 // Both references compute one subspace's term per point with scalar
 // arithmetic and an early exit on a zero hat product — the operation
@@ -39,5 +40,14 @@ std::vector<real_t> evaluate_blocked_scalar(
 /// decoded from its first point with idx2bp.
 real_t evaluate_boundary_walk(const BoundaryStorage& storage,
                               const CoordVector& x);
+
+/// restrict_to_plane (restriction.hpp) point by point: every point of the
+/// grid in flat order, its dropped-dimension weight at the anchor as a
+/// product of hat_basis_1d values, added into its kept point where
+/// non-zero. Each output coefficient sums its terms in source subspace
+/// order, as the production slab walk does.
+CompactStorage restrict_to_plane_walk(const CompactStorage& storage,
+                                      const DimVector<dim_t>& kept_dims,
+                                      const CoordVector& anchor);
 
 }  // namespace csg::testing

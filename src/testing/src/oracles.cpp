@@ -11,6 +11,7 @@
 #include "csg/core/evaluate.hpp"
 #include "csg/core/hierarchize.hpp"
 #include "csg/core/point_block.hpp"
+#include "csg/core/restriction.hpp"
 #include "csg/core/simd.hpp"
 #include "csg/io/serialize.hpp"
 #include "csg/parallel/omp_algorithms.hpp"
@@ -329,6 +330,18 @@ OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
   return r;
 }
 
+OracleResult check_restriction_parity(const CompactStorage& coeffs,
+                                      const DimVector<dim_t>& kept,
+                                      const CoordVector& anchor,
+                                      const OracleOptions& opts) {
+  OracleResult r;
+  compare_arrays(r, restrict_to_plane_walk(coeffs, kept, anchor),
+                 restrict_to_plane(coeffs, kept, anchor),
+                 "restrict_to_plane_walk vs restrict_to_plane",
+                 opts.exact_ulps, 0);
+  return r;
+}
+
 OracleResult check_serialize_round_trip(const CompactStorage& values) {
   OracleResult r;
   std::stringstream blob;
@@ -450,6 +463,17 @@ OracleResult check_all(const CompactStorage& nodal, std::mt19937_64& rng,
   r.merge(check_evaluate_parity(coeffs, pts, opts));
   r.merge(check_eval_soa_parity(coeffs, pts, opts));
   r.merge(check_serialize_round_trip(coeffs));
+  const dim_t d = nodal.dim();
+  if (d >= 2) {
+    const auto k = std::uniform_int_distribution<dim_t>(1, d - 1)(rng);
+    const DimVector<dim_t> kept = random_kept_dims(rng, d, k);
+    // Every other anchor component on a grid line of a level below n.
+    CoordVector anchor = random_points(rng, d - k, 1)[0];
+    const real_t lines = exact_pow2(static_cast<int>(nodal.grid().level()));
+    for (dim_t s = 0; s < anchor.size(); s += 2)
+      anchor[s] = std::floor(anchor[s] * lines) / lines;
+    r.merge(check_restriction_parity(coeffs, kept, anchor, opts));
+  }
   return r;
 }
 

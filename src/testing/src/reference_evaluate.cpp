@@ -102,4 +102,67 @@ real_t evaluate_boundary_walk(const BoundaryStorage& storage,
   return res;
 }
 
+CompactStorage restrict_to_plane_walk(const CompactStorage& storage,
+                                      const DimVector<dim_t>& kept_dims,
+                                      const CoordVector& anchor) {
+  const RegularSparseGrid& grid = storage.grid();
+  const dim_t d = grid.dim();
+  const dim_t k = kept_dims.size();
+  CSG_EXPECTS(k >= 1 && k < d);
+  CSG_EXPECTS(anchor.size() == d - k);
+  CompactStorage out(k, grid.level());
+  const RegularSparseGrid& out_grid = out.grid();
+
+  // Slot of each dimension among the kept or the dropped ones.
+  constexpr auto kNone = static_cast<dim_t>(~0u);
+  DimVector<dim_t> kept_slot(d, kNone);
+  DimVector<dim_t> dropped_slot(d, kNone);
+  for (dim_t t = 0, ks = 0, ds = 0; t < d; ++t) {
+    if (ks < k && kept_dims[ks] == t)
+      kept_slot[t] = ks++;
+    else
+      dropped_slot[t] = ds++;
+  }
+
+  LevelVector lk(k);
+  IndexVector ik(k);
+  flat_index_t pos = 0;
+  for (level_t j = 0; j < grid.level(); ++j) {
+    for (const LevelVector& l : LevelRange(d, j)) {
+      for (dim_t t = 0; t < d; ++t)
+        if (kept_slot[t] != kNone) lk[kept_slot[t]] = l[t];
+      const flat_index_t out_base = out_grid.subspace_offset(lk);
+      IndexVector i(d, 1);
+      for (;;) {
+        // Dropped-dimension weight at the anchor.
+        real_t w = 1;
+        for (dim_t t = 0; t < d && w != 0; ++t)
+          if (dropped_slot[t] != kNone)
+            w *= hat_basis_1d(l[t], i[t], anchor[dropped_slot[t]]);
+        if (w != 0) {
+          for (dim_t t = 0; t < d; ++t)
+            if (kept_slot[t] != kNone) ik[kept_slot[t]] = i[t];
+          out[out_base + out_grid.point_index_in_subspace(lk, ik)] +=
+              w * storage[pos];
+        }
+        ++pos;
+        // Row-major odometer over the subspace's odd indices.
+        dim_t t = d;
+        bool carry = true;
+        while (t-- > 0) {
+          i[t] += 2;
+          if (i[t] < (index1d_t{1} << (l[t] + 1))) {
+            carry = false;
+            break;
+          }
+          i[t] = 1;
+        }
+        if (carry) break;
+      }
+    }
+  }
+  CSG_ASSERT(pos == grid.num_points());
+  return out;
+}
+
 }  // namespace csg::testing

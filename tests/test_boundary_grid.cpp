@@ -202,8 +202,9 @@ TEST_P(BoundaryKernelParity, DehierarchizeMatchesPointwiseOracle) {
 TEST_P(BoundaryKernelParity, BatchEvaluateMatchesSinglePointAndOracle) {
   const auto [d, n] = GetParam();
   const BoundaryStorage s = random_boundary(d, n, 200 + 10 * d + n);
-  // 7 and 130 leave partial blocks; 130 spans three 64-point blocks.
-  for (const std::size_t count : {0, 1, 7, 130}) {
+  // 7 and 130 leave partial blocks; 64 is exactly one full block; 130
+  // spans three 64-point blocks.
+  for (const std::size_t count : {0, 1, 7, 64, 130}) {
     const auto pts = mixed_points(d, n, count, 300 + count);
     const std::vector<real_t> batch = evaluate(s, pts);
     ASSERT_EQ(batch.size(), count);

@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <random>
+
 #include "csg/core/evaluate.hpp"
 #include "csg/core/hierarchize.hpp"
 #include "csg/workloads/functions.hpp"
 #include "csg/workloads/sampling.hpp"
+#include "csg/testing/compare.hpp"
+#include "csg/testing/generators.hpp"
+#include "csg/testing/oracles.hpp"
 #include "csg/testing/param_names.hpp"
+#include "csg/testing/reference_evaluate.hpp"
 
 namespace csg {
 namespace {
@@ -115,6 +123,85 @@ TEST(Restriction, RepeatedRestrictionComposes) {
   for (flat_index_t j = 0; j < direct.size(); ++j)
     EXPECT_NEAR(direct[j], step2[j], 1e-13);
 }
+
+// Bit-for-bit parity with the point-by-point walk: d = 2..6 at n = 1, 3,
+// 5, 7 on random coefficients with every 7th one a signed zero; kept sets
+// of size 1 and d - 1, non-contiguous and random; anchors at 0, at 1, on
+// grid lines of levels below n, in general position and mixed.
+struct ParityCase {
+  dim_t d;
+  level_t n;
+};
+
+class RestrictionParity : public ::testing::TestWithParam<ParityCase> {};
+
+TEST_P(RestrictionParity, MatchesPointwiseWalkBitForBit) {
+  const auto [d, n] = GetParam();
+  std::mt19937_64 rng(500 + 10 * d + n);
+  CompactStorage coeffs = csg::testing::random_coefficients(rng, d, n);
+  for (flat_index_t j = 0; j < coeffs.size(); j += 7)
+    coeffs[j] = (j / 7) % 2 ? -0.0 : 0.0;
+
+  std::vector<DimVector<dim_t>> kept_sets{{0}, {d - 1}};
+  DimVector<dim_t> all_but_one;  // size d - 1, dropping a middle dimension
+  for (dim_t t = 0; t < d; ++t)
+    if (t != d / 2) all_but_one.push_back(t);
+  kept_sets.push_back(all_but_one);
+  if (d >= 3) kept_sets.push_back({0, d - 1});  // non-contiguous
+  kept_sets.push_back(csg::testing::random_kept_dims(
+      rng, d, std::uniform_int_distribution<dim_t>(1, d - 1)(rng)));
+
+  std::uniform_real_distribution<real_t> uniform(0, 1);
+  // A coordinate on a grid line of a random level m < n: odd / 2^(m+1).
+  auto grid_line = [&] {
+    const auto m = std::uniform_int_distribution<level_t>(0, n - 1)(rng);
+    const auto i = 2 * std::uniform_int_distribution<index1d_t>(
+                           0, (index1d_t{1} << m) - 1)(rng) + 1;
+    return static_cast<real_t>(i) / exact_pow2(static_cast<int>(m + 1));
+  };
+  // Kinds 0..3: at 0, at 1, on a grid line, general; kind 4 mixes them.
+  auto anchor_value = [&](int kind) -> real_t {
+    if (kind == 4) kind = std::uniform_int_distribution<int>(0, 3)(rng);
+    switch (kind) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return grid_line();
+      default: return uniform(rng);
+    }
+  };
+  for (const DimVector<dim_t>& kept : kept_sets) {
+    for (int kind = 0; kind < 5; ++kind) {
+      CoordVector anchor(d - kept.size());
+      for (real_t& a : anchor) a = anchor_value(kind);
+      const CompactStorage got = restrict_to_plane(coeffs, kept, anchor);
+      const CompactStorage want =
+          csg::testing::restrict_to_plane_walk(coeffs, kept, anchor);
+      ASSERT_EQ(got.size(), want.size());
+      for (flat_index_t j = 0; j < got.size(); ++j)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+                  std::bit_cast<std::uint64_t>(want[j]))
+            << "kept size " << kept.size() << " anchor kind " << kind
+            << " coefficient " << j << ": "
+            << csg::testing::describe_mismatch(want[j], got[j]);
+      const auto r =
+          csg::testing::check_restriction_parity(coeffs, kept, anchor);
+      EXPECT_TRUE(r.ok) << r.detail;
+    }
+  }
+}
+
+std::vector<ParityCase> parity_cases() {
+  std::vector<ParityCase> cases;
+  for (dim_t d = 2; d <= 6; ++d)
+    for (const level_t n : {1, 3, 5, 7}) cases.push_back({d, n});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, RestrictionParity, ::testing::ValuesIn(parity_cases()),
+    [](const ::testing::TestParamInfo<ParityCase>& tpi) {
+      return csg::testing::dn_name(tpi.param.d, tpi.param.n);
+    });
 
 TEST(RestrictionDeath, InvalidArgumentsRejected) {
   const CompactStorage full = compressed(workloads::parabola_product(3), 3, 3);

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Verify the SoA batch kernel's inner loops actually vectorize
 # (DESIGN.md §14). The kernel's speedup rests on its table and fold passes
-# (walk_block, shared by evaluate_block_soa and scatter_blocked_into)
+# (fill_tables and walk_block, shared by every caller of the kernel)
 # compiling to vector code; a refactor that
 # reintroduces a branch (or drops -fno-trapping-math) silently falls back
 # to scalar and only a careful bench read would notice. This check makes
@@ -9,7 +9,8 @@
 # with the same per-TU flags the build uses (src/core/CMakeLists.txt),
 # captures the compiler's vectorization report (-fopt-info-vec-* on GCC,
 # -Rpass{,-missed}=loop-vectorize on Clang), and fails unless both the
-# table and fold passes are reported vectorized. The coefficient-gather
+# table and fold passes, found by their `// simd-check:` markers, are
+# reported vectorized. The coefficient-gather
 # loop is exempt: baseline x86-64 has no double<->uint64 vector
 # conversion, so it is expected to stay scalar there.
 #
@@ -37,32 +38,44 @@ if ! "$CXX" -std=c++20 -O2 -fopenmp-simd -ffp-contract=off \
     exit 1
 fi
 
-# The kernel loops are the `#pragma omp simd` sites in the TU, in order:
-# basis-table pass (once per block), fold pass (per subspace and
-# dimension), coefficient gather. The
-# first two must vectorize; the compiler reports against the `for` line,
-# so accept a report within two lines below each pragma.
-PRAGMAS=$(grep -n "#pragma omp simd" "$TU" | cut -d: -f1)
-if [ "$(printf '%s\n' "$PRAGMAS" | wc -l)" -lt 2 ]; then
-    echo "check_vectorization: expected >= 2 '#pragma omp simd' sites in" \
-         "$TU, found '$PRAGMAS'" >&2
-    exit 1
-fi
-
+# The loops that must vectorize carry a marker comment on a line of their
+# own, at most two lines above their `#pragma omp simd`:
+#   // simd-check: table pass   (basis tables, once per block)
+#   // simd-check: fold pass    (per subspace and dimension)
+# A missing or duplicated marker, or one with no pragma below it, fails
+# the check. The compiler reports against the `for` line, so accept a
+# report within two lines below each pragma.
 failures=0
-index=0
-for p in $PRAGMAS; do
-    index=$((index + 1))
-    if [ "$index" -gt 2 ]; then break; fi
+for tag in "table pass" "fold pass"; do
+    marks=$(grep -n "// simd-check: $tag\$" "$TU" | cut -d: -f1)
+    if [ "$(printf '%s' "$marks" | grep -c .)" -ne 1 ]; then
+        echo "FAIL  $tag: expected one '// simd-check: $tag' marker in" \
+             "$TU, found lines '$marks'" >&2
+        failures=$((failures + 1))
+        continue
+    fi
+    p=""
+    for q in $((marks + 1)) $((marks + 2)) $((marks + 3)); do
+        if sed -n "${q}p" "$TU" | grep -q "#pragma omp simd"; then
+            p=$q
+            break
+        fi
+    done
+    if [ -z "$p" ]; then
+        echo "FAIL  $tag: no '#pragma omp simd' within three lines below" \
+             "its marker (line $marks)" >&2
+        failures=$((failures + 1))
+        continue
+    fi
     hit=""
     for q in "$p" $((p + 1)) $((p + 2)); do
         hit=$(grep -E "evaluate\.cpp:$q:[0-9]+: *(optimized: loop vectorized|remark: vectorized loop)" "$OUT" | head -1)
         [ -n "$hit" ] && break
     done
     if [ -n "$hit" ]; then
-        echo "ok    simd loop at line $p: ${hit#*: }"
+        echo "ok    $tag at line $p: ${hit#*: }"
     else
-        echo "FAIL  simd loop at line $p: no vectorization report" >&2
+        echo "FAIL  $tag at line $p: no vectorization report" >&2
         grep -E "evaluate\.cpp:($p|$((p + 1))|$((p + 2))):" "$OUT" >&2
         failures=$((failures + 1))
     fi

@@ -51,6 +51,12 @@ expect 2 "expected 3 coordinates" eval "$WORK/g.csg" 0.5
 expect 2 "expected 3 coordinates" eval "$WORK/g.csg" 0.1 0.2 0.3 0.4
 expect 2 "must be in" eval "$WORK/g.csg" 0.5 1.5 0.5
 expect 2 "must be in" eval "$WORK/g.csg" 0.5 -0.5 0.5
+# Real-valued tokens must be whole, finite numbers: NaN and non-numbers
+# are refused, never evaluated (as NaN, or as 0).
+expect 2 "must be in" eval "$WORK/g.csg" 0.5 0.5 nan
+expect 2 "must be in" eval "$WORK/g.csg" 0.5 0.5 abc
+expect 2 "must be in" eval "$WORK/g.csg" 0.5 0.5 0.5x
+expect 2 "must be in" eval "$WORK/g.csg" 0.5 0.5 ""
 
 # --- evalbatch: positive counts required ------------------------------------
 expect 2 "usage:" evalbatch "$WORK/g.csg" --points 0
@@ -67,11 +73,21 @@ expect 2 "usage:" restrict "$WORK/g.csg" --keep 1,1 --anchor 0.5 -o "$WORK/s.csg
 expect 2 "usage:" restrict "$WORK/g.csg" --keep 2,0 --anchor 0.5 -o "$WORK/s.csg"     # unsorted
 expect 2 "usage:" restrict "$WORK/g.csg" --keep 0 --anchor 1.5 -o "$WORK/s.csg"       # anchor > 1
 expect 2 "usage:" restrict "$WORK/g.csg" --keep 0 --anchor -0.5 -o "$WORK/s.csg"      # anchor < 0
+expect 2 "usage:" restrict "$WORK/g.csg" --keep 0 --anchor nan -o "$WORK/s.csg"
+expect 2 "usage:" restrict "$WORK/g.csg" --keep 0 --anchor abc -o "$WORK/s.csg"
+
+# --- compress: epsilon must be a finite number >= 0 -------------------------
+expect 2 "usage:" compress "$WORK/g.csg" --epsilon nan -o "$WORK/t.csgt"
+expect 2 "usage:" compress "$WORK/g.csg" --epsilon -1 -o "$WORK/t.csgt"
+expect 2 "usage:" compress "$WORK/g.csg" --epsilon 1e-3x -o "$WORK/t.csgt"
 
 # --- slice: dimension validation --------------------------------------------
 expect 2 "usage:" slice "$WORK/g.csg" --dimx 0 --dimy 0
 expect 2 "usage:" slice "$WORK/g.csg" --dimx 0 --dimy 9
 expect 2 "usage:" slice "$WORK/g.csg" --dimx 9 --dimy 1
+expect 2 "usage:" slice "$WORK/g.csg" --anchor 1.5
+expect 2 "usage:" slice "$WORK/g.csg" --anchor nan
+expect 2 "usage:" slice "$WORK/g.csg" --anchor abc
 
 # --- slice: positive raster size required -----------------------------------
 expect 2 "usage:" slice "$WORK/g.csg" --width 0
@@ -84,8 +100,22 @@ expect 2 "usage:" selfcheck --dmax 0
 expect 2 "usage:" selfcheck --dmax 99
 expect 2 "usage:" selfcheck --nmax 0
 expect 2 "usage:" selfcheck --budget 0
+expect 2 "usage:" selfcheck --budget nan
+expect 2 "usage:" selfcheck --budget inf
 expect 2 "usage:" selfcheck --trials 0
 expect 2 "usage:" selfcheck --trials -1   # must not wrap to 2^64 - 1
+
+# --- selfcheck: the budget also bounds the sampled trials -------------------
+# 10^15 trials on one shape would run for days; the budget must stop them
+# (exit 3, INCOMPLETE) within seconds.
+timeout 20 "$CSGTOOL" selfcheck --dmax 1 --nmax 2 --budget 1 \
+    --trials 1000000000000000 >"$WORK/out" 2>"$WORK/err"
+code=$?
+if [ "$code" -ne 3 ] || ! grep -q "INCOMPLETE" "$WORK/out"; then
+    echo "FAIL: selfcheck --budget 1 --trials 10^15 -> exit $code, want 3" \
+         "with INCOMPLETE" >&2
+    FAILURES=$((FAILURES + 1))
+fi
 
 # --- serve-bench: option validation -----------------------------------------
 expect 2 "usage:" serve-bench --grids 0

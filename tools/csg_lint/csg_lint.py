@@ -57,10 +57,11 @@ Rules (catalog and suppression policy in docs/STATIC_ANALYSIS.md):
                          pair: every on-disk format goes through one codec
   one-eval-walk          in src/core, src/regression, src/combination,
                          src/serve, src/net, src/io and src/parallel, no
-                         call to support_index_1d: Alg. 7's per-point cell
-                         locate belongs to the one SoA kernel (evaluate.cpp),
-                         whose table pass replaces it; the single-point
-                         gradient walk is the one tagged exception
+                         call to support_index_1d or hat_basis_1d: Alg. 7's
+                         per-point cell locate and hat belong to the one SoA
+                         kernel (evaluate.cpp), whose table pass replaces
+                         them; the single-point gradient walk is the one
+                         tagged exception
   one-pole-sweep         in the same modules, no left_parent_1d or
                          right_parent_1d call: hierarchization runs the
                          pole sweep (hierarchize.cpp), which carries a
@@ -735,17 +736,19 @@ class OneIoCodecRule(Rule):
 class OneEvalWalkRule(Rule):
     name = "one-eval-walk"
     description = (
-        "no support_index_1d call in the production modules: B*alpha and "
-        "B^T r run the SoA kernel of src/core/src/evaluate.cpp"
+        "no support_index_1d or hat_basis_1d call in the production "
+        "modules: B*alpha, B^T r, boundary faces and plane restriction read "
+        "the SoA kernel's basis tables (src/core/src/evaluate.cpp)"
     )
 
     # The comparators (baselines, gpusim, adaptive, memsim) and the oracle
     # library (src/testing) keep their own walks on purpose.
     SCOPE = ("src/core/", "src/regression/", "src/combination/",
              "src/serve/", "src/net/", "src/io/", "src/parallel/")
-    CALL = re.compile(r"\bsupport_index_1d\s*\(")
-    # Its one definition (grid_point.hpp) is not a call.
-    DEFINITION = re.compile(r"\bindex1d_t\s+support_index_1d\s*\(")
+    CALL = re.compile(r"\b(?:support_index_1d|hat_basis_1d)\s*\(")
+    # Their one definition each (grid_point.hpp) is not a call.
+    DEFINITION = re.compile(
+        r"\b(?:index1d_t\s+support_index_1d|real_t\s+hat_basis_1d)\s*\(")
 
     def applies(self, relpath):
         return relpath.replace(os.sep, "/").startswith(self.SCOPE)
@@ -759,8 +762,9 @@ class OneEvalWalkRule(Rule):
             findings.append(Finding(
                 self.name, src.relpath, line,
                 "private Alg. 7 walk: evaluate through evaluate_blocked_into "
-                "or scatter through scatter_blocked_into (evaluate.hpp) "
-                "instead of locating cells point by point"))
+                "or scatter through scatter_blocked_into, or read the basis "
+                "tables of fill_basis_tables (evaluate.hpp), instead of "
+                "locating cells or hats point by point"))
         return findings
 
 

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +25,7 @@
 #include <fstream>
 #include <future>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -102,6 +104,17 @@ const char* flag_value(int argc, char** argv, const char* flag,
   return fallback;
 }
 
+/// A real-valued token: the whole token read by strtod, and finite. Any
+/// other token reads as NaN, so every range check below is written to
+/// fail on NaN (e.g. !(x >= 0 && x <= 1)) and rejects it.
+double parse_real(const char* token) {
+  char* end = nullptr;
+  const double x = std::strtod(token, &end);
+  return end != token && *end == '\0' && std::isfinite(x)
+             ? x
+             : std::numeric_limits<double>::quiet_NaN();
+}
+
 int cmd_create(int argc, char** argv) {
   const auto d = static_cast<dim_t>(std::atoi(flag_value(argc, argv, "--dims", "3")));
   const auto n =
@@ -159,8 +172,8 @@ int cmd_eval(const char* path, int coords_argc, char** coords_argv) {
   }
   CoordVector x(s.grid().dim());
   for (dim_t t = 0; t < x.size(); ++t) {
-    x[t] = std::atof(coords_argv[t]);
-    if (x[t] < 0 || x[t] > 1) {
+    x[t] = parse_real(coords_argv[t]);
+    if (!(x[t] >= 0 && x[t] <= 1)) {
       std::fprintf(stderr, "csgtool: coordinates must be in [0,1]\n");
       return 2;
     }
@@ -227,9 +240,9 @@ int cmd_integrate(const char* path) {
 
 int cmd_compress(const char* path, int argc, char** argv) {
   const CompactStorage s = io::load_file(path);
-  const real_t eps = std::atof(flag_value(argc, argv, "--epsilon", "1e-4"));
+  const real_t eps = parse_real(flag_value(argc, argv, "--epsilon", "1e-4"));
   const std::string out = flag_value(argc, argv, "-o", "grid.csgt");
-  if (eps < 0) return usage();
+  if (!(eps >= 0)) return usage();
   const TruncatedStorage t(s, eps);
   io::save_file(t, out);
   std::printf("wrote %s: kept %zu of %llu coefficients (%.1f%% of dense "
@@ -244,7 +257,8 @@ int cmd_restrict(const char* path, int argc, char** argv) {
   const CompactStorage s = io::load_file(path);
   const dim_t d = s.grid().dim();
   const std::string keep_spec = flag_value(argc, argv, "--keep", "0,1");
-  const real_t anchor_value = std::atof(flag_value(argc, argv, "--anchor", "0.5"));
+  const real_t anchor_value =
+      parse_real(flag_value(argc, argv, "--anchor", "0.5"));
   const std::string out = flag_value(argc, argv, "-o", "slice.csg");
 
   DimVector<dim_t> kept;
@@ -259,7 +273,7 @@ int cmd_restrict(const char* path, int argc, char** argv) {
   if (kept.empty() || kept.size() >= d) return usage();
   for (dim_t k = 0; k < kept.size(); ++k)
     if (kept[k] >= d || (k > 0 && kept[k] <= kept[k - 1])) return usage();
-  if (anchor_value < 0 || anchor_value > 1) return usage();
+  if (!(anchor_value >= 0 && anchor_value <= 1)) return usage();
 
   const CompactStorage slice = restrict_to_plane(
       s, kept, CoordVector(d - kept.size(), anchor_value));
@@ -277,7 +291,7 @@ int cmd_slice(const char* path, int argc, char** argv) {
   const dim_t d = s.grid().dim();
   const auto dim_x = static_cast<dim_t>(std::atoi(flag_value(argc, argv, "--dimx", "0")));
   const auto dim_y = static_cast<dim_t>(std::atoi(flag_value(argc, argv, "--dimy", "1")));
-  const real_t anchor = std::atof(flag_value(argc, argv, "--anchor", "0.5"));
+  const real_t anchor = parse_real(flag_value(argc, argv, "--anchor", "0.5"));
   // Signed, like evalbatch's counts: a negative size must not wrap.
   const long long width_arg =
       std::atoll(flag_value(argc, argv, "--width", "64"));
@@ -285,7 +299,7 @@ int cmd_slice(const char* path, int argc, char** argv) {
       std::atoll(flag_value(argc, argv, "--height", "32"));
   const char* pgm = flag_value(argc, argv, "--pgm", nullptr);
   if (d < 2 || dim_x >= d || dim_y >= d || dim_x == dim_y || width_arg < 1 ||
-      height_arg < 1)
+      height_arg < 1 || !(anchor >= 0 && anchor <= 1))
     return usage();
   const auto width = static_cast<std::size_t>(width_arg);
   const auto height = static_cast<std::size_t>(height_arg);
@@ -353,14 +367,14 @@ int cmd_selfcheck(int argc, char** argv) {
       static_cast<dim_t>(std::atoi(flag_value(argc, argv, "--dmax", "6")));
   const auto nmax =
       static_cast<level_t>(std::atoi(flag_value(argc, argv, "--nmax", "8")));
-  const double budget = std::atof(flag_value(argc, argv, "--budget", "60"));
+  const double budget = parse_real(flag_value(argc, argv, "--budget", "60"));
   // Signed, so that a negative count is rejected instead of wrapping.
   const long long trials_arg =
       std::atoll(flag_value(argc, argv, "--trials", "20000"));
   const auto seed = static_cast<std::uint64_t>(
       std::atoll(flag_value(argc, argv, "--seed", "1")));
   if (dmax < 1 || dmax > kMaxDim || nmax < 1 || nmax > kMaxLevel ||
-      budget <= 0 || trials_arg < 1)
+      !(budget > 0) || trials_arg < 1)
     return usage();
   const auto trials = static_cast<std::uint64_t>(trials_arg);
 
@@ -375,6 +389,24 @@ int cmd_selfcheck(int argc, char** argv) {
   unsigned exhaustive_shapes = 0, sampled_shapes = 0, skipped_shapes = 0;
   std::mt19937_64 rng(seed);
   bool out_of_time = false;
+  // Sampled trials run in chunks, so that a huge --trials stops at the
+  // budget like everything else (out_of_time, exit 3).
+  auto sample = [&](const RegularSparseGrid& grid) {
+    testing::BijectionReport total;
+    for (std::uint64_t done = 0; done < trials && total.ok;) {
+      if (elapsed() > budget) {
+        out_of_time = true;
+        break;
+      }
+      const std::uint64_t chunk = std::min<std::uint64_t>(trials - done, 4096);
+      const auto report = testing::verify_bijection_sampled(grid, rng, chunk);
+      total.ok = report.ok;
+      total.detail = report.detail;
+      total.points_checked += report.points_checked;
+      done += chunk;
+    }
+    return total;
+  };
 
   for (dim_t d = 1; d <= dmax && !out_of_time; ++d) {
     std::uint64_t points_for_d = 0;
@@ -403,8 +435,7 @@ int cmd_selfcheck(int argc, char** argv) {
         points_for_d += report.points_checked;
         ++exhaustive_shapes;
       } else {
-        const auto report =
-            testing::verify_bijection_sampled(grid, rng, trials);
+        const auto report = sample(grid);
         if (!report.ok) {
           std::fprintf(stderr, "selfcheck FAILED at d=%u n=%u: %s\n", d, n,
                        report.detail.c_str());
@@ -428,7 +459,7 @@ int cmd_selfcheck(int argc, char** argv) {
     level_t n = nmax;
     while (n > 1 && grid_points_if_feasible(d, n) < 0) --n;
     const RegularSparseGrid grid(d, n);
-    const auto report = testing::verify_bijection_sampled(grid, rng, trials);
+    const auto report = sample(grid);
     if (!report.ok) {
       std::fprintf(stderr, "selfcheck FAILED at d=%u n=%u: %s\n", d, n,
                    report.detail.c_str());
